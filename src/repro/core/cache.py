@@ -312,6 +312,9 @@ class CacheHit(NamedTuple):
     notes: tuple
     deps: tuple = (WILDCARD,)
     result_shareable: bool = False
+    #: Base tables the statement writes: a hit skips binding, so the
+    #: execute path bumps their data epochs from here.
+    write_tables: tuple = ()
 
 
 @dataclass
@@ -369,13 +372,20 @@ class CacheEntry:
     #: deterministic, no volatile tables) — carried here so a translation
     #: hit still knows whether to rematerialize into the result cache.
     result_shareable: bool = False
+    #: Base tables a DML statement writes (``"*"`` when unknown); empty for
+    #: queries. Travels with the entry through the shared tier.
+    write_tables: tuple[str, ...] = ()
     size: int = 0
 
     def __post_init__(self):
         base = self.template.size() if self.template is not None \
             else len(self.sql or "")
-        self.size = base + 32 * len(self.notes) \
-            + sum(16 + len(name) for name in self.deps) + 128
+        self.size = base + 32 * len(self.notes) + 128 + sum(
+            16 + len(name) for name in self.deps + self.write_tables)
+
+    def hit(self, target_sql: str) -> CacheHit:
+        return CacheHit(target_sql, self.notes, self.deps,
+                        self.result_shareable, self.write_tables)
 
 
 class TranslationCache:
@@ -464,14 +474,12 @@ class TranslationCache:
                     if rendered is not None:
                         self._entries.move_to_end(key_base + ("T",))
                         self._stats.hits += 1
-                        return CacheHit(rendered, entry.notes, entry.deps,
-                                        entry.result_shareable)
+                        return entry.hit(rendered)
             entry = self._entries.get(exact_key)
             if entry is not None and entry.sql is not None:
                 self._entries.move_to_end(exact_key)
                 self._stats.hits += 1
-                return CacheHit(entry.sql, entry.notes, entry.deps,
-                                entry.result_shareable)
+                return entry.hit(entry.sql)
         shareable = self.tier is not None and key_base[3] is None
         if shareable:
             found = self._tier_lookup(key_base, fp, params_key, exact_key)
@@ -495,13 +503,11 @@ class TranslationCache:
                     rendered = entry.template.render(fp.slots)
                     if rendered is not None:
                         self._adopt(key_base + ("T",), entry)
-                        return CacheHit(rendered, entry.notes, entry.deps,
-                                        entry.result_shareable)
+                        return entry.hit(rendered)
             entry = self.tier.get(exact_key)
             if entry is not None and entry.sql is not None:
                 self._adopt(exact_key, entry)
-                return CacheHit(entry.sql, entry.notes, entry.deps,
-                                entry.result_shareable)
+                return entry.hit(entry.sql)
         except Exception:
             return None
         return None
@@ -594,7 +600,8 @@ class TranslationCache:
                deps: tuple[str, ...] = (WILDCARD,),
                result_shareable: bool = False,
                probe: Optional[Callable[[str], str]] = None,
-               tenant: Optional[str] = None) -> None:
+               tenant: Optional[str] = None,
+               write_tables: tuple[str, ...] = ()) -> None:
         """Memoize one translation.
 
         *deps* is the statement's dependency set from the extractor; when a
@@ -624,14 +631,13 @@ class TranslationCache:
                     template = build_template(probe_target, expected)
         if template is not None:
             key = key_base + ("T",)
-            entry = CacheEntry(template=template, sql=None, notes=notes,
-                               deps=deps, overlay_uid=overlay_uid,
-                               result_shareable=result_shareable)
+            target_sql = None
         else:
             key = key_base + ("E", fp.values_key(), params_key)
-            entry = CacheEntry(template=None, sql=target_sql, notes=notes,
-                               deps=deps, overlay_uid=overlay_uid,
-                               result_shareable=result_shareable)
+        entry = CacheEntry(template=template, sql=target_sql, notes=notes,
+                           deps=deps, overlay_uid=overlay_uid,
+                           result_shareable=result_shareable,
+                           write_tables=tuple(write_tables))
         with self._lock:
             self._stats.inserts += 1
             self._install(key, entry, tenant=tenant)

@@ -438,6 +438,11 @@ class HyperQSession:
                         odbc_result, timing, [hit.target_sql])
                 finally:
                     self._pending_capture = None
+                    # The hit skipped binding, so the entry names what the
+                    # statement writes; without this bump the result cache
+                    # keeps serving rows from before a repeated UPDATE.
+                    if hit.write_tables:
+                        self.engine.shadow.bump_data(*hit.write_tables)
                 result.timing = timing
                 self.engine.timing_log.record(timing)
                 return result
@@ -488,7 +493,7 @@ class HyperQSession:
             if cache_key is not None and len(result.target_sql) == 1:
                 with timing.measure("cache_lookup"):
                     self._cache_insert(cache_key, fp, params_key,
-                                       result.target_sql[0], stmt_deps)
+                                       result.target_sql[0], bound, stmt_deps)
             result.timing = timing
             self.engine.timing_log.record(timing)
             return result
@@ -644,7 +649,7 @@ class HyperQSession:
                 span.annotate("bytes", len(target_sql))
         if cache_key is not None:
             self._cache_insert(cache_key, fp, params_key, target_sql,
-                               stmt_deps)
+                               bound, stmt_deps)
         return TranslationResult("sql", [target_sql])
 
     def close(self) -> None:
@@ -840,16 +845,21 @@ class HyperQSession:
         return self._cache_key_base(fp)
 
     def _cache_insert(self, key_base: tuple, fp: Fingerprint,
-                      params_key, target_sql: str, stmt_deps=None) -> None:
+                      params_key, target_sql: str, bound: r.Statement,
+                      stmt_deps) -> None:
         notes = (self.tracker.current_notes()
                  if self.tracker is not None else ())
-        deps = (stmt_deps.all_tables if stmt_deps is not None
-                else (deps_mod.WILDCARD,))
+        if stmt_deps is not None:
+            deps, writes = stmt_deps.all_tables, stmt_deps.write_tables
+        else:
+            # Unknown footprint: a cached DML must still invalidate.
+            deps = (deps_mod.WILDCARD,)
+            writes = () if isinstance(bound, r.Query) else deps
         shareable = stmt_deps.shareable if stmt_deps is not None else False
         self.engine.cache.insert(key_base, fp, params_key, target_sql, notes,
                                  deps=deps, result_shareable=shareable,
                                  probe=self._probe_translate,
-                                 tenant=self.tenant)
+                                 tenant=self.tenant, write_tables=writes)
 
     def _replay_notes(self, notes) -> None:
         if self.tracker is not None:

@@ -1,29 +1,23 @@
-"""The asyncio wire path: every session of a worker on one event loop.
+"""The asyncio wire driver: every session of a worker on one event loop.
 
-The threaded server (:mod:`repro.protocol.server`) dedicates an OS thread to
+The threaded driver (:mod:`repro.protocol.server`) dedicates an OS thread to
 each connection; at the Section 7.3 stress scale — hundreds of mostly-idle
 BI sessions — those threads spend their lives blocked in ``recv`` while the
 GIL shuffles the few that are runnable. This module multiplexes all of a
-worker's connections onto a single event loop:
+worker's connections onto a single event loop. Every protocol decision
+lives in :mod:`repro.protocol.session`; what is left here is how this
+driver reads, writes and runs a blocking call:
 
-* **Framing and writes live on the loop.** Frames are parsed with
-  ``StreamReader.readexactly`` and written as separate header/payload views
-  (no concatenation); ``await writer.drain()`` gives per-connection
+* **Read.** Frames are parsed with ``StreamReader.readexactly``.
+* **Write.** Header and payload go out as separate views (no
+  concatenation); ``await writer.drain()`` gives per-connection
   backpressure bounded by the transport's write-buffer high-water mark, so
   a slow client stalls only its own chunk pump, never the loop.
-* **CPU-bound work hops to a bounded executor.** Translate/execute/convert
-  run via ``loop.run_in_executor``; the PR 3 streaming pipeline is already
-  pull-based, so the chunk pump awaits one ``next(iterator)`` per chunk on
-  an executor thread, writes the chunk, drains, and pulls again — the
-  backend never runs ahead of the client by more than the bounded lookahead.
-* **Trace spans hand off explicitly.** The request's root span is activated
-  inside every executor callable (:func:`repro.core.trace.activate`), so
-  span trees look identical to the threaded path's.
-* **Everything else is shared.** The managed admission path
-  (:func:`repro.protocol.server.run_managed`), fault sites, drain
-  semantics, and the compiled row codecs are the same objects the threaded
-  server uses; replies are byte-identical (asserted by
-  ``tests/integration/test_async_wire.py``).
+* **Run a blocking call.** Every one — execute, managed wait, each chunk
+  pull — hops to a bounded executor; a deadline is an ``asyncio.wait``
+  timeout around that hop. Teardown also runs there, behind whatever call
+  the connection last submitted, so a generator is never closed while an
+  executor thread is still inside it.
 
 The server is API-compatible with :class:`HyperQServer` where the gateway
 and the test-suites touch it: ``process_request`` (SCM_RIGHTS socket
@@ -34,31 +28,21 @@ adoption), ``begin_drain``/``drained``, ``server_close``, ``address``,
 from __future__ import annotations
 
 import asyncio
-import functools
 import os
 import socket
-import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Optional
+from typing import Iterator, Optional
 
-from repro.errors import (BackendTimeoutError, HyperQError, ProtocolError,
-                          UnknownTenantError)
-from repro.core import faults as flt
-from repro.core import trace as trace_mod
-from repro.core.engine import HQResult, HyperQ
-from repro.protocol.encoding import encode_meta
+from repro.errors import ProtocolError
+from repro.core.engine import HyperQ
 from repro.protocol.messages import HEADER, MAGIC, MAX_PAYLOAD, MessageKind, \
     parse_header
-from repro.protocol.server import RequestState, _discard_result, \
-    await_straggler, run_managed
+from repro.protocol.session import IDLE, Blocking, Overrun, WireSession
 
 #: Default transport write-buffer high-water mark: above this many buffered
 #: bytes ``drain()`` blocks the chunk pump until the client catches up.
 WRITE_HIGH_WATER = 256 * 1024
-
-#: Sentinel returned by the executor-side chunk pull at end of stream.
-_DONE = object()
 
 
 async def read_frame(reader: asyncio.StreamReader) -> tuple[MessageKind, bytes]:
@@ -78,47 +62,17 @@ def _silence(future) -> None:
 class _AioConnection:
     """Loop-side state for one client connection."""
 
-    __slots__ = ("reader", "writer", "busy", "state", "pending_pull",
-                 "open_result")
+    __slots__ = ("reader", "writer", "core", "pending")
 
     def __init__(self, reader: asyncio.StreamReader,
-                 writer: asyncio.StreamWriter):
+                 writer: asyncio.StreamWriter, core: WireSession):
         self.reader = reader
         self.writer = writer
-        self.busy = False
-        self.state = RequestState()
-        #: Executor future of an in-flight chunk pull; cleanup must wait for
-        #: it before closing the result (a generator must never be closed
-        #: while another thread is inside ``next`` on it).
-        self.pending_pull = None
-        #: The result currently streaming to this client, closed on every
-        #: exit path — including abrupt disconnect between frames.
-        self.open_result = None
-
-
-def _finish_connection(pending, result, straggler, session) -> None:
-    """Executor-side teardown: wait out in-flight work, then release
-    result buffers and the session, in dependency order."""
-    if pending is not None:
-        try:
-            pending.result(timeout=30)
-        except Exception:  # noqa: BLE001 — best-effort teardown
-            pass
-    if result is not None:
-        try:
-            result.close()
-        except Exception:  # noqa: BLE001
-            pass
-    if straggler is not None:
-        try:
-            straggler.result()
-        except Exception:  # noqa: BLE001 — its error already became a reply
-            pass
-    if session is not None:
-        try:
-            session.close()
-        except Exception:  # noqa: BLE001
-            pass
+        self.core = core
+        #: The executor call this connection submitted last. Teardown
+        #: waits for it before anything else: after a cancellation it may
+        #: still be running.
+        self.pending = None
 
 
 class AioHyperQServer:
@@ -164,8 +118,8 @@ class AioHyperQServer:
         #: High-water mark of transport write-buffer bytes observed across
         #: all connections — the backpressure test's bound.
         self.peak_write_buffer = 0
-        #: Executor-side chunk pulls currently in flight (cancellation
-        #: test hook: must fall to zero after a client disconnect).
+        #: Executor-side calls currently in flight (cancellation test
+        #: hook: must fall to zero after a client disconnect).
         self.active_pulls = 0
         self._pull_lock = threading.Lock()
 
@@ -241,7 +195,7 @@ class AioHyperQServer:
             with self._conns_lock:
                 conns = list(self._conns)
             for conn in conns:
-                if not conn.busy:
+                if not conn.core.busy:
                     # EOF queues *behind* already-buffered bytes, so a
                     # request that raced the drain still parses and gets
                     # served — same semantics as SHUT_RD on the threaded
@@ -323,8 +277,8 @@ class AioHyperQServer:
     async def _serve_client(self, reader: asyncio.StreamReader,
                             writer: asyncio.StreamWriter) -> None:
         async with self._sema:
-            conn = _AioConnection(reader, writer)
-            session = None
+            conn = _AioConnection(reader, writer, WireSession(self))
+            core = conn.core
             registered = False
             try:
                 sock = writer.get_extra_info("socket")
@@ -336,33 +290,14 @@ class AioHyperQServer:
                         pass
                 writer.transport.set_write_buffer_limits(
                     high=self.write_high_water)
-                kind, payload = await read_frame(reader)
-                if kind is not MessageKind.LOGON_REQUEST:
-                    raise ProtocolError("expected LOGON_REQUEST")
-                # LOGON payload: ``user\0password`` with an optional third
-                # ``\0tenant`` field (absent for legacy clients).
-                fields = payload.split(b"\0", 2)
-                user = fields[0].decode("utf-8", "replace")
-                tenant_field = (fields[2].decode("utf-8", "replace")
-                                if len(fields) > 2 else "")
-                engine = self.engine
-                tenant = None
-                if engine.tenancy is not None:
-                    try:
-                        tenant = engine.tenancy.resolve(tenant_field or None)
-                    except UnknownTenantError as error:
-                        await self._send(conn, MessageKind.FAILURE,
-                                         str(error).encode("utf-8"))
-                        return
-                session = engine.create_session()
-                session.session_params["USER"] = user.upper() or "HYPERQ"
-                if engine.tenancy is not None:
-                    session.session_params["TENANT"] = tenant
-                await self._send(conn, MessageKind.LOGON_RESPONSE,
-                                 struct.pack(">I", self.next_session_id()))
-                registered = self._register(conn)
-                if registered:
-                    await self._serve(conn, session)
+                await self._drive(
+                    conn, core.on_frame(*await read_frame(reader)))
+                registered = core.phase == IDLE and self._register(conn)
+                # `busy` flips inside on_frame(), with no await between the
+                # read returning and the flag — race-free against `_do`.
+                while registered and core.phase == IDLE:
+                    await self._drive(
+                        conn, core.on_frame(*await read_frame(reader)))
             except (ProtocolError, ConnectionError, OSError,
                     asyncio.IncompleteReadError):
                 return
@@ -376,175 +311,58 @@ class AioHyperQServer:
             finally:
                 if registered:
                     self._unregister(conn)
-                self._teardown(conn, session)
-
-    def _teardown(self, conn: _AioConnection, session) -> None:
-        """Close the writer now; push blocking teardown to the executor.
-
-        Sessions close on *every* exit path — a client that vanishes
-        mid-request must not leak its volatile-table overlay, its converter
-        resources, or an open ``ResultStore``. Ordering matters: an
-        in-flight chunk pull must land before the result closes (a
-        generator cannot be closed while a thread is inside it), and a
-        straggler must land before the session closes under it.
-        """
-        pending, conn.pending_pull = conn.pending_pull, None
-        result, conn.open_result = conn.open_result, None
-        straggler, conn.state.straggler = conn.state.straggler, None
-        if (pending, result, straggler, session) != (None, None, None, None):
-            try:
-                self._executor.submit(_finish_connection, pending, result,
-                                      straggler, session)
-            except RuntimeError:
-                # Executor already shut down (server closing): best-effort
-                # inline.
-                _finish_connection(pending, result, straggler, session)
-        try:
-            conn.writer.close()
-        except Exception:  # noqa: BLE001
-            pass
-
-    async def _serve(self, conn: _AioConnection, session) -> None:
-        while True:
-            kind, payload = await read_frame(conn.reader)
-            if kind is MessageKind.LOGOFF:
-                return
-            if kind is not MessageKind.RUN_QUERY:
-                raise ProtocolError(f"unexpected message {kind.name}")
-            # Busy for the span of the request: a drain never cuts a query
-            # already being served (the loop runs `_do` between awaits, so
-            # the flag is race-free).
-            conn.busy = True
-            try:
-                alive = await self._handle_request(conn, session, payload)
-            finally:
-                conn.busy = False
-            if not alive or self.draining:
-                return
-
-    async def _handle_request(self, conn: _AioConnection, session,
-                              payload: bytes) -> bool:
-        """Serve one RUN_QUERY under a request-scoped trace.
-
-        Mirrors the threaded `_handle_request` decision-for-decision: same
-        span names, same fault sites, same FAILURE texts — the parity suite
-        diffs the reply bytes of the two paths.
-        """
-        engine = self.engine
-        hub = engine.tracing
-        trace = hub.start_trace("request") if hub.enabled else None
-        state = conn.state
-        state.wl_class = None
-        root = trace.root if trace is not None else None
-        with trace_mod.activate(root):
-            outcome = "ok"
-            try:
-                with trace_mod.span("protocol_decode", bytes=len(payload)):
-                    sql = payload.decode("utf-8")
-                    fault = (engine.faults.draw("wire", op=sql)
-                             if engine.faults is not None else None)
-                if trace is not None:
-                    trace.sql = sql
-                    trace.root.annotate("sql", sql[:200])
-                if fault is not None and fault.kind == flt.WIRE_DISCONNECT:
-                    engine.resilience.note("wire_disconnect")
-                    engine.faults.record("wire_disconnect", seq=fault.seq)
-                    trace_mod.add_event("wire_disconnect", seq=fault.seq)
-                    outcome = "wire_disconnect"
-                    return False
-                if engine.faults is not None \
-                        and engine.worker_index is not None:
-                    gw_fault = engine.faults.draw(
-                        "gateway", op=sql, replica=engine.worker_index)
-                    if gw_fault is not None \
-                            and gw_fault.kind == flt.WORKER_CRASH:
-                        os._exit(86)
-                delay = fault.delay if fault is not None \
-                    and fault.kind == flt.SLOW_RESULT else 0.0
+                # Close the writer now; the blocking teardown goes to the
+                # executor.
                 try:
-                    result = await self._run_request(state, session, sql,
-                                                     delay, root)
-                except HyperQError as error:  # timeouts, sheds, queue expiry
-                    outcome = f"error:{type(error).__name__}"
-                    await self._send(conn, MessageKind.FAILURE,
-                                     str(error).encode("utf-8"))
-                    return True
-                except Exception as error:  # noqa: BLE001 — reply, don't drop
-                    outcome = f"error:{type(error).__name__}"
-                    await self._send(conn, MessageKind.FAILURE,
-                                     f"internal error: {error}"
-                                     .encode("utf-8"))
-                    return True
-                await self._send_result(conn, result)
-                return True
-            except BaseException as error:  # connection died mid-reply
-                outcome = f"error:{type(error).__name__}"
-                raise
-            finally:
-                if trace is not None:
-                    hub.finish_trace(trace, outcome, wl_class=state.wl_class)
+                    self._executor.submit(core.close, conn.pending)
+                except RuntimeError:
+                    # Executor already shut down (server closing).
+                    core.close(conn.pending)
+                try:
+                    writer.close()
+                except Exception:  # noqa: BLE001
+                    pass
 
-    # -- request execution --------------------------------------------------------------
-
-    async def _run_request(self, state: RequestState, session, sql: str,
-                           delay: float, root) -> HQResult:
-        loop = asyncio.get_running_loop()
-        if self.engine.workload is not None:
-            # The whole managed flow (straggler drain → classify → submit →
-            # wait) is one blocking unit sharing run_managed with the
-            # threaded path; it occupies one executor slot while queued,
-            # exactly as it occupies one connection thread there.
-            return await loop.run_in_executor(
-                self._executor,
-                functools.partial(self._managed_blocking, state, session,
-                                  sql, delay, root))
-        return await self._run_direct(state, session, sql, delay, root)
-
-    def _managed_blocking(self, state, session, sql, delay, root) -> HQResult:
-        with trace_mod.activate(root):
-            return run_managed(self, state, session, sql, delay)
-
-    async def _run_direct(self, state: RequestState, session, sql: str,
-                          delay: float, root) -> HQResult:
-        # A straggler from a timed-out request must land before the session
-        # is touched again — the threaded path serializes via its 1-thread
-        # executor; here the executor is shared, so serialize explicitly.
-        straggler, state.straggler = state.straggler, None
-        if straggler is not None:
-            try:
-                await asyncio.wrap_future(straggler)
-            except Exception:  # noqa: BLE001 — already replied FAILURE
-                pass
-
-        import time as time_mod
-
-        def work() -> HQResult:
-            with trace_mod.activate(root):
-                if delay > 0:
-                    time_mod.sleep(delay)
-                return session.execute(sql)
-
-        loop = asyncio.get_running_loop()
-        timeout = self.request_timeout
-        if timeout is None:
-            return await loop.run_in_executor(self._executor, work)
-        future = self._executor.submit(work)
-        wrapped = asyncio.ensure_future(asyncio.wrap_future(future))
+    async def _drive(self, conn: _AioConnection, steps: Iterator) -> None:
+        """Perform *steps*' effects: await the writes, hop the calls."""
         try:
-            return await asyncio.wait_for(asyncio.shield(wrapped), timeout)
-        except asyncio.TimeoutError:
-            engine = self.engine
-            engine.resilience.note("timeout")
-            if engine.faults is not None:
-                engine.faults.record("timeout", timeout=f"{timeout:g}")
-            wrapped.add_done_callback(_silence)
-            future.add_done_callback(_discard_result)
-            if not future.done():
-                state.straggler = future
-            raise BackendTimeoutError(
-                f"request timed out after {timeout:g}s") from None
+            effect = next(steps)
+            while True:
+                try:
+                    if type(effect) is tuple:
+                        value = await self._send(conn, *effect)
+                    else:
+                        value = await self._run(conn, effect)
+                except asyncio.CancelledError:
+                    # Not thrown into the core: the call may still be
+                    # running, and core.close() finalizes behind it.
+                    raise
+                except BaseException as error:
+                    effect = steps.throw(error)
+                else:
+                    effect = steps.send(value)
+        except StopIteration:
+            return
 
-    # -- reply streaming ----------------------------------------------------------------
+    async def _run(self, conn: _AioConnection, call: Blocking):
+        future = conn.pending = self._executor.submit(self._tracked, call.fn)
+        wrapped = asyncio.wrap_future(future)
+        if call.deadline is None:
+            return await wrapped
+        done, __ = await asyncio.wait([wrapped], timeout=call.deadline)
+        if not done:
+            wrapped.add_done_callback(_silence)
+            raise Overrun(future)
+        return wrapped.result()
+
+    def _tracked(self, fn):
+        with self._pull_lock:
+            self.active_pulls += 1
+        try:
+            return fn()
+        finally:
+            with self._pull_lock:
+                self.active_pulls -= 1
 
     async def _send(self, conn: _AioConnection, kind: MessageKind,
                     payload: bytes = b"") -> None:
@@ -565,96 +383,6 @@ class AioHyperQServer:
         if size > self.peak_write_buffer:
             self.peak_write_buffer = size
         await writer.drain()
-
-    def _pull_chunk(self, pull, parent):
-        # The conversion generator opens its result_convert span at first
-        # pull; activate the request's wire_encode span on this executor
-        # thread so the span nests exactly as on the threaded path.
-        with self._pull_lock:
-            self.active_pulls += 1
-        try:
-            with trace_mod.activate(parent):
-                return pull()
-        finally:
-            with self._pull_lock:
-                self.active_pulls -= 1
-
-    async def _send_result(self, conn: _AioConnection,
-                           result: HQResult) -> None:
-        """Ship one result, pumping chunks loop↔executor as they convert.
-
-        Each chunk is one executor hop (the pull — decode, convert, encode
-        all happen lazily inside ``next``) followed by an awaitable write;
-        the drain between pulls is what turns a slow client into
-        backpressure on the backend executor.
-        """
-        loop = asyncio.get_running_loop()
-        with trace_mod.span("wire_encode") as span:
-            conn.open_result = result
-            try:
-                if result.kind == "rows":
-                    await self._send(conn, MessageKind.RESULT_META,
-                                     encode_meta(result.metas))
-                    sent = 0
-                    chunks = result.iter_chunks()
-                    pull = functools.partial(next, chunks, _DONE)
-                    parent = trace_mod.current_span()
-                    try:
-                        while True:
-                            future = self._executor.submit(
-                                self._pull_chunk, pull, parent)
-                            conn.pending_pull = future
-                            chunk = await asyncio.wrap_future(future)
-                            conn.pending_pull = None
-                            if chunk is _DONE:
-                                break
-                            if chunk:
-                                await self._send(conn,
-                                                 MessageKind.RESULT_ROWS,
-                                                 chunk)
-                                sent += len(chunk)
-                    except HyperQError as error:
-                        # Mid-stream failure: some rows may already be on
-                        # the wire; the FAILURE frame marks the result
-                        # truncated.
-                        await self._send(conn, MessageKind.FAILURE,
-                                         str(error).encode("utf-8"))
-                        if span is not None:
-                            span.annotate("bytes", sent)
-                            span.outcome = "truncated"
-                        return
-                    await self._send(conn, MessageKind.SUCCESS,
-                                     struct.pack(">Q", result.rowcount))
-                    if span is not None:
-                        span.annotate("bytes", sent)
-                        span.annotate("rows", result.rowcount)
-                elif result.kind == "count":
-                    await self._send(conn, MessageKind.RESULT_COUNT,
-                                     struct.pack(">Q", result.rowcount))
-                    await self._send(conn, MessageKind.SUCCESS,
-                                     struct.pack(">Q", result.rowcount))
-                    if span is not None:
-                        span.annotate("rows", result.rowcount)
-                else:
-                    await self._send(conn, MessageKind.SUCCESS,
-                                     struct.pack(">Q", 0))
-            finally:
-                conn.open_result = None
-                pending, conn.pending_pull = conn.pending_pull, None
-                if pending is not None and not pending.done():
-                    # Disconnect/cancellation mid-pull: the result must not
-                    # close under the executor thread still inside `next` —
-                    # chain the close behind the pull, off-loop.
-                    try:
-                        self._executor.submit(_finish_connection, pending,
-                                              result, None, None)
-                    except RuntimeError:
-                        _finish_connection(pending, result, None, None)
-                else:
-                    try:
-                        result.close()
-                    except Exception:  # noqa: BLE001
-                        pass
 
 
 class AioServerThread:

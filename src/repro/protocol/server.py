@@ -1,149 +1,39 @@
-"""The Protocol Handler: a TCP server speaking the source wire protocol.
+"""The threaded wire driver: one pooled OS thread per connection.
 
-Section 4.1: intercepts the application's network message flow, extracts
-credentials and request payloads, hands them to the Hyper-Q engine, and
-packages responses back into the binary message format the application
-expects. One engine session per connection, served by a *bounded* pool of
-connection workers (``max_connections``) — the unbounded thread-per-
-connection shape fell over exactly where the Section 7.3 stress test
-lives, at hundreds of concurrent clients. Excess connections queue at
-accept until a worker frees up.
+Every protocol decision lives in :mod:`repro.protocol.session`; this module
+supplies the three things that state machine cannot do itself — read a
+frame (blocking ``recv``), write a frame (``sendmsg``; a slow client blocks
+the thread, which is the backpressure) and run a blocking call, which here
+means *call it*, inline on the connection thread. Only a call that carries
+a deadline (``request_timeout`` set, no workload manager) moves to the
+connection's own single worker thread, so that the connection thread can
+give up waiting; one thread, so a straggler and the next request can never
+touch the session concurrently.
 
-When the engine carries a :class:`~repro.core.workload.WorkloadManager`,
-every request additionally routes through it: classification, admission
-control (sheds and queue deadlines become FAILURE replies on a live
-connection), and deficit-round-robin scheduling onto the manager's bounded
-executor pool.
-
-Resilience duties of this layer:
-
-* every session is closed when its connection ends, cleanly or not — an
-  abrupt disconnect must not orphan the session's volatile-table overlay;
-* with ``request_timeout`` set, a request that overruns its deadline gets a
-  timely FAILURE reply instead of hanging the connection (the straggler
-  finishes behind the scenes and is awaited before the session's next
-  request, so the session is never driven concurrently);
-* a request shed or queue-expired by the workload manager gets a clean
-  FAILURE reply and the session survives for the next request;
-* unexpected internal errors become FAILURE replies, not dropped
-  connections;
-* the engine's fault schedule is consulted per request (site ``"wire"``):
-  :data:`~repro.core.faults.WIRE_DISCONNECT` cuts the connection with no
-  reply — the deterministic stand-in for a client yanked mid-conversation —
-  and :data:`~repro.core.faults.SLOW_RESULT` stalls the request inside the
-  timed region.
+Connections are served by a *bounded* pool of workers
+(``max_connections``) — the unbounded thread-per-connection shape fell over
+exactly where the Section 7.3 stress test lives, at hundreds of concurrent
+clients. Excess connections queue at accept until a worker frees up.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import queue
 import socket
 import socketserver
-import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from typing import Optional
 
-from repro.errors import (BackendTimeoutError, HyperQError, ProtocolError,
-                          UnknownTenantError)
-from repro.core import faults as flt
-from repro.core import trace as trace_mod
-from repro.core.engine import HQResult, HyperQ
-from repro.protocol.encoding import encode_meta
-from repro.protocol.messages import MessageKind, read_message, send_message
-
-
-class RequestState:
-    """Per-connection request bookkeeping shared by both wire paths.
-
-    Holds the straggler (a timed-out request still running on a pool
-    thread, which must land before the session's next request) and the
-    workload class of the request in flight (for trace finishing). The
-    threaded handler owns one per connection; the asyncio server owns one
-    per stream pair.
-    """
-
-    __slots__ = ("straggler", "wl_class")
-
-    def __init__(self):
-        self.straggler = None
-        self.wl_class: Optional[str] = None
-
-
-def await_straggler(state: RequestState) -> None:
-    """Block until the connection's timed-out request (if any) lands."""
-    straggler, state.straggler = state.straggler, None
-    if straggler is None:
-        return
-    try:
-        straggler.result()
-    except Exception:  # noqa: BLE001 — its error already became a reply
-        pass
-
-
-def run_managed(server, state: RequestState, session, sql: str,
-                delay: float) -> HQResult:
-    """Route one request through the workload manager (blocking).
-
-    Shared by both wire paths: the threaded handler calls it on the
-    connection thread, the asyncio server calls it on an executor thread
-    with the request's root span activated. Shed and queue-deadline
-    rejections raise :class:`~repro.errors.WorkloadError` subclasses,
-    which callers turn into FAILURE replies on a live connection. A
-    request that overruns ``server.request_timeout`` while *running*
-    becomes the connection's straggler in *state*: the client gets a
-    FAILURE now, and the session's next request waits for the straggler
-    to land first.
-    """
-    manager = server.engine.workload
-    # The straggler must land before *anything* touches the session —
-    # classification binds on the session's probe stack, so deciding
-    # first would race the straggler's execute on shared state.
-    await_straggler(state)
-    with trace_mod.span("classify") as cspan:
-        decision = manager.decide(session, sql)
-        if cspan is not None:
-            cspan.annotate("wl_class", decision.wl_class)
-            cspan.annotate("reason", decision.reason)
-    state.wl_class = decision.wl_class
-    # The pool worker gets a fresh context; hand the active span across
-    # explicitly, and time the queue wait from submit to work start.
-    root = trace_mod.current_span()
-    qspan = trace_mod.begin_span("queue_wait", wl_class=decision.wl_class)
-
-    def work() -> HQResult:
-        with trace_mod.activate(root):
-            if qspan is not None:
-                qspan.finish()
-            # Unconditional: None restores the engine default, clearing
-            # a previous request's per-class override.
-            session.apply_batch_budget(decision.budget)
-            if delay > 0:
-                time.sleep(delay)
-            return session.execute(sql)
-
-    ticket = manager.submit(session, sql, work, decision)
-    timeout = server.request_timeout
-    try:
-        return manager.wait(ticket, timeout)
-    except FutureTimeoutError:
-        engine = server.engine
-        engine.resilience.note("timeout")
-        if engine.faults is not None:
-            engine.faults.record("timeout", timeout=f"{timeout:g}")
-        # A future cancelled by wait() (timed out while still queued)
-        # never ran: there is nothing to discard and no straggler, and
-        # registering the callback would fire it synchronously with a
-        # CancelledError that no `except Exception` catches.
-        if not ticket.future.cancelled():
-            ticket.future.add_done_callback(_discard_result)
-            if not ticket.future.done():
-                state.straggler = ticket.future
-        raise BackendTimeoutError(
-            f"request timed out after {timeout:g}s") from None
+from repro.errors import ProtocolError
+from repro.core.engine import HyperQ
+from repro.protocol.messages import read_message, send_message
+from repro.protocol.session import IDLE, Blocking, Overrun, WireSession, drive
+from repro.protocol.session import RequestState  # noqa: F401 — part of this module's import surface
 
 
 class _ConnectionHandler(socketserver.BaseRequestHandler):
@@ -152,247 +42,39 @@ class _ConnectionHandler(socketserver.BaseRequestHandler):
     def handle(self) -> None:
         sock: socket.socket = self.request
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        session = None
+        self.core = core = WireSession(self.server)
         self._executor: Optional[ThreadPoolExecutor] = None
-        #: Straggler + workload-class bookkeeping, shared format with the
-        #: asyncio wire path.
-        self._state = RequestState()
-        self.busy = False
+        send = functools.partial(send_message, sock)
         registered = False
         try:
-            kind, payload = read_message(sock)
-            if kind is not MessageKind.LOGON_REQUEST:
-                raise ProtocolError("expected LOGON_REQUEST")
-            # LOGON payload: ``user\0password`` with an optional third
-            # ``\0tenant`` field (absent for legacy clients — they land on
-            # the default tenant when tenancy is enabled).
-            fields = payload.split(b"\0", 2)
-            user = fields[0].decode("utf-8", "replace")
-            tenant_field = (fields[2].decode("utf-8", "replace")
-                            if len(fields) > 2 else "")
-            engine = self.server.engine
-            if engine.tenancy is not None:
-                try:
-                    tenant = engine.tenancy.resolve(tenant_field or None)
-                except UnknownTenantError as error:
-                    # Clean rejection at the door: the client sees a
-                    # FAILURE envelope instead of a LOGON_RESPONSE.
-                    send_message(sock, MessageKind.FAILURE,
-                                 str(error).encode("utf-8"))
-                    return
-            session = self.server.engine.create_session()
-            session.session_params["USER"] = user.upper() or "HYPERQ"
-            if engine.tenancy is not None:
-                session.session_params["TENANT"] = tenant
-            session_id = self.server.next_session_id()
-            send_message(sock, MessageKind.LOGON_RESPONSE,
-                         struct.pack(">I", session_id))
-            registered = self.server.register_handler(self)
-            if registered:
-                self._serve(sock, session)
+            drive(core.on_frame(*read_message(sock)), send, self._run)
+            registered = core.phase == IDLE \
+                and self.server.register_handler(self)
+            while registered and core.phase == IDLE:
+                drive(core.on_frame(*read_message(sock)), send, self._run)
         except (ProtocolError, ConnectionError, OSError):
             return
         finally:
             if registered:
                 self.server.unregister_handler(self)
-            # Sessions close on *every* exit path: a client that vanishes
-            # mid-request must not leak its volatile-table overlay or its
-            # converter resources. A running straggler is awaited first —
-            # closing the session under it would yank its converter away.
-            if session is not None:
-                await_straggler(self._state)
-                session.close()
+            core.close()
             if self._executor is not None:
                 self._executor.shutdown(wait=False)
 
-    def _serve(self, sock: socket.socket, session) -> None:
-        while True:
-            kind, payload = read_message(sock)
-            if kind is MessageKind.LOGOFF:
-                return
-            if kind is not MessageKind.RUN_QUERY:
-                raise ProtocolError(f"unexpected message {kind.name}")
-            # Mark the connection busy for the span of the request so a
-            # drain never cuts a query that is already being served; the
-            # reply below lands before the draining check closes the loop.
-            self.busy = True
-            try:
-                alive = self._handle_request(sock, session, payload)
-            finally:
-                self.busy = False
-            if not alive or self.server.draining:
-                return
-
-    def _handle_request(self, sock: socket.socket, session,
-                        payload: bytes) -> bool:
-        """Serve one RUN_QUERY message under a request-scoped trace.
-
-        The trace roots here — on the connection thread — so every layer
-        below (engine, workload pool via explicit hand-off, converter,
-        wire encode) nests under one span tree per wire request. Returns
-        False when the connection must drop (injected disconnect).
-        """
-        engine = self.server.engine
-        hub = engine.tracing
-        trace = hub.start_trace("request") if hub.enabled else None
-        self._state.wl_class = None
-        with trace_mod.activate(trace.root if trace is not None else None):
-            outcome = "ok"
-            try:
-                with trace_mod.span("protocol_decode", bytes=len(payload)):
-                    sql = payload.decode("utf-8")
-                    fault = (engine.faults.draw("wire", op=sql)
-                             if engine.faults is not None else None)
-                if trace is not None:
-                    trace.sql = sql
-                    trace.root.annotate("sql", sql[:200])
-                if fault is not None and fault.kind == flt.WIRE_DISCONNECT:
-                    engine.resilience.note("wire_disconnect")
-                    engine.faults.record("wire_disconnect", seq=fault.seq)
-                    trace_mod.add_event("wire_disconnect", seq=fault.seq)
-                    outcome = "wire_disconnect"
-                    # Abrupt: no FAILURE envelope, no LOGOFF — the client
-                    # sees the connection die as with a real network cut.
-                    return False
-                if engine.faults is not None \
-                        and engine.worker_index is not None:
-                    gw_fault = engine.faults.draw(
-                        "gateway", op=sql, replica=engine.worker_index)
-                    if gw_fault is not None \
-                            and gw_fault.kind == flt.WORKER_CRASH:
-                        # Abrupt worker death: no reply, no cleanup — the
-                        # gateway supervisor must detect and restart us.
-                        os._exit(86)
-                delay = fault.delay if fault is not None \
-                    and fault.kind == flt.SLOW_RESULT else 0.0
-                try:
-                    result = self._run_request(session, sql, delay)
-                except HyperQError as error:  # timeouts, sheds, queue expiry
-                    outcome = f"error:{type(error).__name__}"
-                    send_message(sock, MessageKind.FAILURE,
-                                 str(error).encode("utf-8"))
-                    return True
-                except Exception as error:  # noqa: BLE001 — reply, don't drop
-                    outcome = f"error:{type(error).__name__}"
-                    send_message(
-                        sock, MessageKind.FAILURE,
-                        f"internal error: {error}".encode("utf-8"))
-                    return True
-                self._send_result(sock, result)
-                return True
-            except BaseException as error:  # connection died mid-reply
-                outcome = f"error:{type(error).__name__}"
-                raise
-            finally:
-                if trace is not None:
-                    hub.finish_trace(trace, outcome,
-                                     wl_class=self._state.wl_class)
-
-    def _run_request(self, session, sql: str, delay: float) -> HQResult:
-        manager = self.server.engine.workload
-        if manager is None:
-            return self._run_direct(session, sql, delay)
-        return run_managed(self.server, self._state, session, sql, delay)
-
-    def _run_direct(self, session, sql: str, delay: float) -> HQResult:
-        """Execute one request without a workload manager, enforcing the
-        server's per-request deadline.
-
-        The request runs on this connection's single worker thread; on
-        deadline overrun the client gets a FAILURE now and the straggler's
-        result is discarded (and closed) when it eventually lands. Because
-        the worker pool has exactly one thread, a straggler and the next
-        request can never touch the session concurrently.
-        """
-        root = trace_mod.current_span()
-
-        def work() -> HQResult:
-            with trace_mod.activate(root):
-                if delay > 0:
-                    time.sleep(delay)
-                return session.execute(sql)
-
-        timeout = self.server.request_timeout
-        if timeout is None:
-            return work()
+    def _run(self, call: Blocking):
+        if call.deadline is None:
+            return call.fn()
         if self._executor is None:
             self._executor = ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix="hyperq-request")
-        future = self._executor.submit(work)
+        future = self._executor.submit(call.fn)
         try:
-            return future.result(timeout=timeout)
+            return future.result(timeout=call.deadline)
         except FutureTimeoutError:
-            engine = self.server.engine
-            engine.resilience.note("timeout")
-            if engine.faults is not None:
-                engine.faults.record("timeout", timeout=f"{timeout:g}")
-            future.add_done_callback(_discard_result)
-            raise BackendTimeoutError(
-                f"request timed out after {timeout:g}s") from None
-
-    def _send_result(self, sock: socket.socket, result: HQResult) -> None:
-        """Ship one result, streaming row chunks as they convert.
-
-        Chunks go onto the wire as the converter produces them, so a slow
-        client exerts backpressure all the way into the backend executor
-        (``sendall`` blocks, the chunk generator stops pulling). The final
-        SUCCESS frame carries the row total accumulated by the stream.
-        """
-        with trace_mod.span("wire_encode") as span:
-            try:
-                if result.kind == "rows":
-                    send_message(sock, MessageKind.RESULT_META,
-                                 encode_meta(result.metas))
-                    sent = 0
-                    try:
-                        for chunk in result.iter_chunks():
-                            if chunk:
-                                send_message(sock, MessageKind.RESULT_ROWS,
-                                             chunk)
-                                sent += len(chunk)
-                    except HyperQError as error:
-                        # Mid-stream failure: some rows may already be on
-                        # the wire; the FAILURE frame marks the result
-                        # truncated.
-                        send_message(sock, MessageKind.FAILURE,
-                                     str(error).encode("utf-8"))
-                        if span is not None:
-                            span.annotate("bytes", sent)
-                            span.outcome = "truncated"
-                        return
-                    send_message(sock, MessageKind.SUCCESS,
-                                 struct.pack(">Q", result.rowcount))
-                    if span is not None:
-                        span.annotate("bytes", sent)
-                        span.annotate("rows", result.rowcount)
-                elif result.kind == "count":
-                    send_message(sock, MessageKind.RESULT_COUNT,
-                                 struct.pack(">Q", result.rowcount))
-                    send_message(sock, MessageKind.SUCCESS,
-                                 struct.pack(">Q", result.rowcount))
-                    if span is not None:
-                        span.annotate("rows", result.rowcount)
-                else:
-                    send_message(sock, MessageKind.SUCCESS,
-                                 struct.pack(">Q", 0))
-            finally:
-                # Release converted buffers as soon as the last frame ships
-                # (or the attempt aborts) — nothing row-sized survives per
-                # session.
-                result.close()
-
-
-def _discard_result(future) -> None:
-    """Release whatever a timed-out straggler eventually produced."""
-    if future.cancelled():
-        return  # never ran; result() would raise CancelledError (a
-                # BaseException) straight through the pool worker
-    try:
-        result = future.result()
-    except BaseException:  # noqa: BLE001 — its error already became a reply
-        return
-    if result is not None:
-        result.close()
+            if future.done():
+                # Landed at the wire, or raised a TimeoutError of its own.
+                return future.result()
+            raise Overrun(future) from None
 
 
 class _ConnectionPool:
@@ -569,7 +251,7 @@ class HyperQServer(socketserver.TCPServer):
             self.draining = True
             handlers = list(self._handlers)
         for handler in handlers:
-            if not handler.busy:
+            if not handler.core.busy:
                 # Shut only the read half: the handler's read_message()
                 # unblocks with EOF, while a request that raced the drain
                 # (read completed, `busy` not yet set) can still ship its

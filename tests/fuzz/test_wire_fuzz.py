@@ -12,6 +12,13 @@ the protocol layer safe to expose:
   (``engine.open_session_count`` and ``ResultStore.open_count`` return to
   baseline after the whole corpus).
 
+A third, socket-free leg (:class:`TestCoreFuzz`) feeds the same corpus
+straight into the sans-IO session core — bytes in, frames out, blocking
+calls run inline — so it affords ten times the cases per seed, and asserts
+more: every reply is a grammatical frame sequence, no result stays open,
+and each session is closed exactly once. The socket legs then only have to
+guard the two thin drivers.
+
 The corpus is deterministic per seed. CI runs the default seed; the
 nightly job widens coverage by exporting ``HQ_FUZZ_SEED`` (one extra seed
 per run) and ``HQ_FUZZ_CASES`` without any code change. When a case fails,
@@ -20,17 +27,24 @@ RISE-style) and prints the minimized hex so the failure is replayable in a
 commit message or a regression corpus entry.
 """
 
+import functools
+import io
+import itertools
 import os
+import random
 import socket
 import struct
 import time
 
 import pytest
 
-from repro.core.engine import HyperQ
+from repro.errors import HyperQError, ProtocolError
+from repro.core.engine import HyperQ, HyperQSession
 from repro.protocol.aio_server import AioServerThread
-from repro.protocol.messages import HEADER, MAGIC, MessageKind
+from repro.protocol.messages import (HEADER, MAGIC, MessageKind,
+                                     encode_message, read_message)
 from repro.protocol.server import ServerThread
+from repro.protocol.session import IDLE, LOGON, WireSession, drive
 from repro.results.store import ResultStore
 
 DEFAULT_SEED = 0xD470
@@ -155,14 +169,14 @@ def _violation(reply, hung):
     return None
 
 
-def _minimize(address, data, split):
+def _minimize(exchange, data):
     """Greedy span-drop minimization: repeatedly remove byte spans while
-    the violation persists, halving span width down to single bytes."""
+    the violation persists, halving span width down to single bytes.
+    *exchange* maps request bytes to ``(reply_bytes, hung)``."""
     current = data
 
     def still_fails(candidate):
-        reply, hung = _exchange(address, candidate, split=split)
-        return _violation(reply, hung) is not None
+        return _violation(*exchange(candidate)) is not None
 
     width = max(1, len(current) // 2)
     while width >= 1:
@@ -203,8 +217,6 @@ def _settle(predicate, deadline=5.0):
 
 class TestWireFuzz:
     def test_malformed_corpus(self, wire_server):
-        import random
-
         engine, address = wire_server
         store_baseline = ResultStore.open_count()
         for seed in _seeds():
@@ -215,7 +227,8 @@ class TestWireFuzz:
                 reply, hung = _exchange(address, data, split=split)
                 problem = _violation(reply, hung)
                 if problem is not None:
-                    minimized = _minimize(address, data, split)
+                    minimized = _minimize(functools.partial(
+                        _exchange, address, split=split), data)
                     pytest.fail(
                         f"seed={seed:#x} case={case} ({label}, "
                         f"split={split}): {problem}\n"
@@ -272,3 +285,168 @@ class TestWireFuzz:
         assert _settle(
             lambda: ResultStore.open_count() <= store_baseline), \
             f"{ResultStore.open_count() - store_baseline} stores leaked"
+
+
+# -- the socket-free leg --------------------------------------------------------------
+
+class _CoreServer:
+    """All that the session core asks of a server; none of it is I/O."""
+
+    request_timeout = None
+    draining = False
+
+    def __init__(self, engine):
+        self.engine = engine
+        self._ids = itertools.count(1)
+
+    def next_session_id(self):
+        return next(self._ids)
+
+
+class _Wire(io.BytesIO):
+    """Request bytes behind the one socket method ``read_message`` uses."""
+
+    recv = io.BytesIO.read
+
+
+def _core_exchange(server, data):
+    """:func:`_exchange` without the socket: frame *data* with the blocking
+    reader, feed each frame to a fresh :class:`WireSession`, run every
+    blocking call inline and collect the frames it sends."""
+    wire = _Wire(data)
+    reply = bytearray()
+
+    def send(kind, payload=b""):
+        reply.extend(encode_message(kind, payload))
+
+    core = WireSession(server)
+    try:
+        while core.phase in (LOGON, IDLE):
+            drive(core.on_frame(*read_message(wire)), send,
+                  lambda call: call.fn())
+    except ProtocolError:
+        pass  # what a driver does: drop the connection
+    finally:
+        core.close()
+    return bytes(reply), False
+
+
+def _ungrammatical(reply):
+    """None when *reply* is whole frames forming LOGON_RESPONSE-or-FAILURE
+    followed by complete results; else what is wrong with it."""
+    frames = _frames(reply)
+    if sum(HEADER.size + len(payload) for __, payload in frames) \
+            != len(reply):
+        return "reply ends in a partial frame"
+    kinds = [MessageKind(kind) for kind, __ in frames]
+    if not kinds:
+        return None  # clean close
+    K = MessageKind
+    if kinds[0] is K.FAILURE:
+        return None if len(kinds) == 1 else "frames after a logon FAILURE"
+    if kinds[0] is not K.LOGON_RESPONSE:
+        return f"reply opens with {kinds[0].name}"
+    rest = iter(kinds[1:])
+    for kind in rest:
+        if kind is K.RESULT_COUNT:
+            kind = next(rest, None)
+        elif kind is K.RESULT_META:
+            kind = next(rest, None)
+            while kind is K.RESULT_ROWS:
+                kind = next(rest, None)
+        if kind not in (K.SUCCESS, K.FAILURE):
+            return f"result not closed by SUCCESS/FAILURE in {kinds}"
+    return None
+
+
+class TestCoreFuzz:
+    @pytest.fixture
+    def closes(self, monkeypatch):
+        """(created, closed) session lists, recorded without interfering."""
+        created, closed = [], []
+        create, close = HyperQ.create_session, HyperQSession.close
+
+        def counting_create(engine, *args, **kwargs):
+            session = create(engine, *args, **kwargs)
+            created.append(session)
+            return session
+
+        def counting_close(session):
+            closed.append(session)
+            return close(session)
+
+        monkeypatch.setattr(HyperQ, "create_session", counting_create)
+        monkeypatch.setattr(HyperQSession, "close", counting_close)
+        return created, closed
+
+    def test_malformed_corpus_against_the_core(self, closes, monkeypatch):
+        """Ten times the socket legs' cases per seed, in less wall time
+        than those two legs take (server start, corpus, server stop)."""
+        created, closed = closes
+        engine = HyperQ(tracing=False)
+        server = _CoreServer(engine)
+        store_baseline = ResultStore.open_count()
+        started = time.perf_counter()
+        for seed in _seeds():
+            rng = random.Random(seed)
+            for case in range(10 * CASES):
+                label, data = _mutations(rng)
+                reply, hung = _core_exchange(server, data)
+                problem = _violation(reply, hung) or _ungrammatical(reply)
+                if problem is None and engine.open_session_count:
+                    problem = "session outlived its connection"
+                if problem is None \
+                        and ResultStore.open_count() > store_baseline:
+                    problem = "result store left open"
+                if problem is not None:
+                    minimized = _minimize(functools.partial(
+                        _core_exchange, server), data)
+                    pytest.fail(
+                        f"seed={seed:#x} case={case} ({label}): {problem}\n"
+                        f"minimized ({len(minimized)} bytes): "
+                        f"{minimized.hex()}")
+        core_seconds = time.perf_counter() - started
+        assert [id(s) for s in closed] == [id(s) for s in created], \
+            "a session was closed twice, never, or out of order"
+
+        monkeypatch.delenv("HQ_WIRE", raising=False)
+        started = time.perf_counter()
+        for thread_cls in (ServerThread, AioServerThread):
+            with thread_cls(HyperQ(tracing=False),
+                            max_connections=16) as address:
+                for seed in _seeds():
+                    rng = random.Random(seed)
+                    for __ in range(CASES):
+                        __, data = _mutations(rng)
+                        _exchange(address, data, split=rng.random() < 0.25)
+        socket_seconds = time.perf_counter() - started
+        assert core_seconds < socket_seconds, \
+            (f"{10 * CASES} core cases took {core_seconds:.3f}s, the two "
+             f"socket legs' {CASES} each took {socket_seconds:.3f}s")
+
+    def test_minimizer_reduces_against_the_core(self, monkeypatch):
+        """Seed a traceback leak behind one statement; the minimizer,
+        driving the core directly, strips everything but logon + query."""
+        def leaky(session, sql, *args, **kwargs):
+            raise HyperQError('Traceback (most recent call last): File "x"')
+
+        monkeypatch.setattr(HyperQSession, "execute", leaky)
+        exchange = functools.partial(_core_exchange,
+                                     _CoreServer(HyperQ(tracing=False)))
+        noisy = _LOGON + _QUERY + _QUERY + bytes(range(40))
+        assert _violation(*exchange(noisy)) is not None
+        minimized = _minimize(exchange, noisy)
+        assert _violation(*exchange(minimized)) is not None
+        assert len(minimized) <= len(_LOGON) + len(_QUERY)
+
+    def test_valid_exchange_is_grammatical(self):
+        """The grammar check itself: a clean session passes, and the
+        truncations it exists to catch do not."""
+        logoff = HEADER.pack(MAGIC, int(MessageKind.LOGOFF), 0)
+        reply, __ = _core_exchange(_CoreServer(HyperQ(tracing=False)),
+                                   _LOGON + _QUERY + _QUERY + logoff)
+        kinds = [kind for kind, __ in _frames(reply)]
+        assert kinds.count(int(MessageKind.SUCCESS)) == 2
+        assert _ungrammatical(reply) is None
+        assert _ungrammatical(reply[:-1]) is not None
+        assert _ungrammatical(reply[:-(HEADER.size + 8)]) is not None

@@ -3,8 +3,11 @@ backend calls on a hit, per-table invalidation by DML/DDL, shareability
 gating (volatile overlays, non-deterministic functions), and the
 SHOW HYPERQ METRICS counters."""
 
+import pickle
+
 import pytest
 
+from repro.core.cache import CacheTier
 from repro.core.engine import HyperQ
 
 CACHE_BYTES = 1 << 20
@@ -96,6 +99,94 @@ class TestInvalidation:
         run(session, "SELECT ID FROM V ORDER BY ID")
         session.execute("INSERT INTO T VALUES (7, 70.5)")
         assert (7,) in run(session, "SELECT ID FROM V ORDER BY ID")
+
+
+class TestRepeatedDml:
+    """DML whose *translation* is served from the translation cache skips
+    binding — it must still invalidate what it wrote."""
+
+    def test_cached_update_still_invalidates(self, engine):
+        s = engine.create_session()
+        s.execute("CREATE MULTISET TABLE W (A INTEGER, B INTEGER)")
+        s.execute("INSERT INTO W VALUES (1, 10)")
+        assert run(s, "SEL B FROM W") == [(10,)]
+        s.execute("UPDATE W SET B = B + 1 WHERE A = 1")
+        assert run(s, "SEL B FROM W") == [(11,)]
+        hits = engine.cache_stats().hits
+        s.execute("UPDATE W SET B = B + 1 WHERE A = 1")
+        assert engine.cache_stats().hits == hits + 1  # the path under test
+        assert run(s, "SEL B FROM W") == [(12,)]
+
+    def test_cached_update_with_other_literals(self, engine, session):
+        """The templated entry (literals lifted out) carries them too."""
+        for value in (5, 6, 7):
+            session.execute(f"UPDATE OTHER SET ID = {value}")
+            assert run(session, "SELECT ID FROM OTHER") == [(value,)]
+
+    def test_cached_delete_still_invalidates(self, engine, session):
+        for __ in range(2):  # the second DELETE is a translation hit
+            session.execute("INSERT INTO T VALUES (5, 50.5)")
+            assert (5,) in run(session, "SELECT ID FROM T ORDER BY ID")
+            session.execute("DELETE FROM T WHERE ID = 5")
+            assert run(session, "SELECT ID FROM T ORDER BY ID") \
+                == [(1,), (2,)]
+
+    def test_repeated_merge_still_invalidates(self, engine, session):
+        session.execute("CREATE MULTISET TABLE SRC (ID INTEGER, "
+                        "VAL DECIMAL(12,2))")
+        merge = ("MERGE INTO T USING SRC ON T.ID = SRC.ID "
+                 "WHEN MATCHED THEN UPDATE SET VAL = SRC.VAL "
+                 "WHEN NOT MATCHED THEN INSERT (ID, VAL) "
+                 "VALUES (SRC.ID, SRC.VAL)")
+        for ident, value in ((1, 11.5), (3, 33.5)):
+            session.execute(f"INSERT INTO SRC VALUES ({ident}, {value})")
+            run(session, "SELECT ID, VAL FROM T ORDER BY ID")  # cache it
+            session.execute(merge)
+            assert (ident, value) in run(
+                session, "SELECT ID, VAL FROM T ORDER BY ID")
+
+    def test_write_tables_travel_through_the_shared_tier(self):
+        """A worker that adopts another worker's UPDATE translation from
+        the L2 tier (pickled, as over the cache-service RPC) invalidates."""
+        class PickledTier(CacheTier):
+            def __init__(self):
+                self.blobs = {}
+
+            def get(self, key):
+                blob = self.blobs.get(key)
+                return pickle.loads(blob) if blob is not None else None
+
+            def put(self, key, entry):
+                self.blobs[key] = pickle.dumps(entry)
+
+            def invalidate_tables(self, names):
+                pass
+
+        tier = PickledTier()
+        sessions = []
+        for __ in range(2):
+            engine = HyperQ(result_cache_bytes=CACHE_BYTES, cache_tier=tier)
+            s = engine.create_session()
+            s.execute("CREATE MULTISET TABLE W (A INTEGER, B INTEGER)")
+            s.execute("INSERT INTO W VALUES (1, 10)")
+            sessions.append(s)
+        first, second = sessions
+        first.execute("UPDATE W SET B = B + 1 WHERE A = 1")  # fills the tier
+        assert run(second, "SEL B FROM W") == [(10,)]
+        second.execute("UPDATE W SET B = B + 1 WHERE A = 1")
+        assert second.engine.cache_stats().tier_hits == 1
+        assert run(second, "SEL B FROM W") == [(11,)]
+
+    @pytest.mark.parametrize("batching", [False, True])
+    def test_repeated_script_dml_still_invalidates(self, batching):
+        engine = HyperQ(result_cache_bytes=CACHE_BYTES, dml_batching=batching)
+        s = engine.create_session()
+        s.execute("CREATE MULTISET TABLE W (A INTEGER, B INTEGER)")
+        script = ("INSERT INTO W VALUES (1, 10); INSERT INTO W VALUES (2, 20);"
+                  " UPDATE W SET B = B + 1 WHERE A = 1")
+        for expected in (31, 63):
+            s.execute_script(script)
+            assert run(s, "SEL SUM(B) FROM W") == [(expected,)]
 
 
 class TestShareabilityGates:

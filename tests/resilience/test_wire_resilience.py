@@ -15,9 +15,11 @@ from repro.core.engine import HyperQ, HyperQSession
 from repro.core.faults import (
     SLOW_RESULT, WIRE_DISCONNECT, FaultSchedule, FaultSpec,
 )
+from repro.protocol.aio_server import AioServerThread
 from repro.protocol.client import TdClient
 from repro.protocol.messages import MessageKind, read_message, send_message
 from repro.protocol.server import ServerThread
+from repro.results.store import ResultStore
 
 
 def wait_until(predicate, timeout=5.0, interval=0.01):
@@ -106,6 +108,44 @@ class TestRequestTimeouts:
             time.sleep(0.5)  # let the straggler drain off the worker
             assert client.execute("SEL 1").rows == [(1,)]
             client.close()
+
+    @pytest.mark.parametrize("thread_cls", [ServerThread, AioServerThread],
+                             ids=["threaded", "async"])
+    def test_session_outlives_its_straggler(self, thread_cls, monkeypatch):
+        """No workload manager: the client reads its timeout FAILURE and
+        hangs up at once, while the statement is still running. The
+        session must close only after that straggler has landed."""
+        events = []
+        execute, close = HyperQSession.execute, HyperQSession.close
+
+        def recording_execute(session, *args, **kwargs):
+            try:
+                return execute(session, *args, **kwargs)
+            except BaseException as error:
+                events.append(f"raised {error!r}")
+                raise
+            finally:
+                events.append("executed")
+
+        def recording_close(session):
+            events.append("closed")
+            return close(session)
+
+        monkeypatch.setattr(HyperQSession, "execute", recording_execute)
+        monkeypatch.setattr(HyperQSession, "close", recording_close)
+        sched = FaultSchedule(0, [
+            FaultSpec(SLOW_RESULT, "wire", at=(1,), delay=0.4)])
+        engine = HyperQ(faults=sched)
+        stores = ResultStore.open_count()
+        with thread_cls(engine, request_timeout=0.05) as address:
+            client = TdClient(*address)
+            with pytest.raises(BackendError, match="timed out"):
+                client.execute("SEL 1")
+            client._sock.close()
+            assert wait_until(lambda: len(events) >= 2)
+            assert events == ["executed", "closed"]
+            assert wait_until(lambda: engine.open_session_count == 0)
+            assert wait_until(lambda: ResultStore.open_count() <= stores)
 
     def test_fast_requests_unaffected_by_the_deadline(self):
         with ServerThread(HyperQ(), request_timeout=5.0) as address:
