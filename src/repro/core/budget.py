@@ -1,8 +1,8 @@
 """Per-request batch budget for the streaming result pipeline.
 
 The paper's data path (Section 5) is streaming: the ODBC Server fetches
-result *batches* into TDF and the Result Converter re-encodes them onto the
-source wire as they arrive. A :class:`BatchBudget` is the knob that bounds
+result *batches* and the Result Converter encodes them onto the source wire
+as they arrive. A :class:`BatchBudget` is the knob that bounds
 that pipeline: how many rows travel in one batch between layers, and how
 many bytes of converted row data any single layer may hold before it must
 spill to disk. One budget is threaded per request from
@@ -27,8 +27,8 @@ class BatchBudget:
     """Bounds for one request's result stream.
 
     ``batch_rows`` is the unit of flow control: the executor yields row
-    batches of at most this size, the ODBC Server encodes one TDF packet per
-    batch, and the Result Converter emits one wire chunk per packet. A pull
+    batches of at most this size, the ODBC Server hands them on one at a
+    time, and the Result Converter emits one wire chunk per batch. A pull
     on the wire end therefore holds at most one batch of row data live per
     layer.
 

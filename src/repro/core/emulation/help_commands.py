@@ -3,8 +3,8 @@
 Informational commands like ``HELP SESSION`` "return settings of the current
 user session" (Section 2.1) and have no target equivalent: Hyper-Q answers
 them entirely from mid-tier state — session parameters and the shadow
-catalog — and fabricates result sets that flow through the same TDF/convert
-path as real query results.
+catalog — and fabricates result sets that flow through the same Result
+Converter path as real query results.
 """
 
 from __future__ import annotations

@@ -4,7 +4,10 @@ One :class:`HyperQSession` per client connection. Each request runs the
 paper's pipeline (Figure 3):
 
     Protocol Handler -> Parser -> Binder -> Transformer -> Serializer
-        -> ODBC Server -> target -> TDF -> Result Converter -> client
+        -> ODBC Server -> target -> Result Converter -> client
+
+(TDF is the ODBC Server's framing for out-of-process drivers; in-process
+row batches go straight to the Result Converter's compiled codec.)
 
 Statements the target cannot express are routed to the emulators in
 :mod:`repro.core.emulation`, which issue multiple target requests and keep
@@ -14,6 +17,7 @@ observations (Figure 8) are collected on the way through.
 
 from __future__ import annotations
 
+import functools
 import re
 import threading
 
@@ -920,10 +924,9 @@ class HyperQSession:
     def _result_cache_replay(self, rc_key: tuple, timing) -> Optional[HQResult]:
         """Serve a materialized result with zero backend calls, or None.
 
-        A hit replays the stored TDF packets through the normal Result
-        Converter path, so the client-visible bytes match a live run; the
-        cache itself re-checks the dependency version vector before
-        serving.
+        A hit hands the wire the chunks a live run sent — no decode, no
+        re-encode — so the client-visible bytes match that run; the cache
+        itself re-checks the dependency version vector before serving.
         """
         rcache = self.engine.result_cache
         metrics = self.engine.tracing.metrics
@@ -939,13 +942,13 @@ class HyperQSession:
         if metrics is not None:
             metrics.counter("hyperq_result_cache_hits_total").inc()
         self._replay_notes(entry.notes)
-        with timing.measure("result_conversion"):
-            converted = self.converter.convert(list(entry.packets),
-                                               list(entry.types))
+        metas = list(entry.metas)
+        converted = ConvertedResult(metas=metas, chunks=list(entry.chunks),
+                                    rowcount=entry.rowcount)
         timing.mark_first_row()
         return HQResult(
-            kind="rows", columns=list(entry.columns), metas=converted.metas,
-            converted=converted, rowcount=converted.rowcount, timing=timing,
+            kind="rows", columns=[meta.name for meta in metas], metas=metas,
+            converted=converted, rowcount=entry.rowcount, timing=timing,
             target_sql=[entry.target_sql] if entry.target_sql else [],
         )
 
@@ -961,26 +964,28 @@ class HyperQSession:
         self._pending_capture = capture
         return capture
 
-    def _capturing_batches(self, capture, packets, columns, types,
-                           target_sql: str, timing=None):
-        """Tee the streamed TDF packets into a result-cache entry.
+    def _capturing_chunks(self, capture, target_sql: str, timing, metas,
+                          chunks):
+        """Tee the converted ``(chunk, rows)`` stream into a result-cache
+        entry.
 
         Accumulation aborts (and counts a reject) the moment the running
-        packet size crosses the per-entry cap, so an oversized scan never
+        chunk size crosses the per-entry cap, so an oversized scan never
         buffers unbounded bytes; the entry is inserted only when the
         consumer drains the stream to completion."""
         rcache = self.engine.result_cache
         collected: Optional[list[bytes]] = []
-        size = 0
-        for packet in packets:
+        size = rowcount = 0
+        for chunk, nrows in chunks:
             if collected is not None:
-                size += len(packet)
+                size += len(chunk)
                 if size > rcache.max_entry_bytes:
                     collected = None
                     rcache.note_reject()
                 else:
-                    collected.append(packet)
-            yield packet
+                    collected.append(chunk)
+                    rowcount += nrows
+            yield chunk, nrows
         if collected is None:
             return
         notes = capture.notes
@@ -988,10 +993,10 @@ class HyperQSession:
             notes = (self.tracker.current_notes()
                      if self.tracker is not None else ())
         entry = ResultEntry(
-            columns=tuple(columns), types=tuple(types),
-            packets=tuple(collected), notes=tuple(notes),
-            deps=capture.deps, vector=capture.vector, target_sql=target_sql)
-        backend_ms = timing.execution * 1e3 if timing is not None else 0.0
+            metas=tuple(metas), chunks=tuple(collected), rowcount=rowcount,
+            notes=tuple(notes), deps=capture.deps, vector=capture.vector,
+            target_sql=target_sql)
+        backend_ms = timing.execution * 1e3
         if rcache.insert(capture.key, entry, tenant=self.tenant,
                          backend_ms=backend_ms):
             metrics = self.engine.tracing.metrics
@@ -1068,30 +1073,31 @@ class HyperQSession:
 
     def package_result(self, odbc_result: OdbcResult, timing: RequestTiming,
                        target_sql: list[str]) -> HQResult:
-        """Set up the TDF -> source-binary conversion path on a target result.
+        """Set up the row batch -> source-binary path on a target result.
 
-        The returned result streams: TDF packets are pulled from the ODBC
-        Server and converted chunk by chunk as the caller consumes them, so
+        The returned result streams: row batches are pulled from the ODBC
+        Server and encoded chunk by chunk as the caller consumes them, so
         no layer holds more than one batch (plus the bounded Result Store,
         if the consumer buffers). Backend pull time lands in the
-        ``execution`` timing stage, decode/encode in ``result_conversion``.
+        ``execution`` timing stage, checking and encoding in
+        ``result_conversion``.
         """
         capture, self._pending_capture = self._pending_capture, None
         if odbc_result.kind != "rows":
             return HQResult(kind=odbc_result.kind, rowcount=odbc_result.rowcount,
                             timing=timing, target_sql=target_sql)
-        packets = self._timed_batches(odbc_result, timing)
+        tee = None
         if capture is not None and self.engine.result_cache is not None:
-            packets = self._capturing_batches(
-                capture, packets, odbc_result.columns,
-                odbc_result.column_types,
-                target_sql[0] if len(target_sql) == 1 else "",
-                timing=timing)
-        converted = self.converter.convert_stream(
-            packets,
+            tee = functools.partial(
+                self._capturing_chunks, capture,
+                target_sql[0] if len(target_sql) == 1 else "", timing)
+        converted = self.converter.encode_stream(
+            odbc_result.columns,
+            self._timed_batches(odbc_result, timing),
             odbc_result.column_types,
             timing=timing,
-            on_first_chunk=timing.mark_first_row)
+            on_first_chunk=timing.mark_first_row,
+            tee=tee)
         return HQResult(
             kind="rows",
             columns=odbc_result.columns,
@@ -1104,25 +1110,26 @@ class HyperQSession:
     @staticmethod
     def _timed_batches(odbc_result: OdbcResult, timing: RequestTiming):
         """Charge lazy backend batch pulls to the ``execution`` stage."""
-        source = odbc_result.fetch_batches()
+        source = odbc_result.fetch_rows()
         while True:
             with timing.measure("execution"):
-                packet = next(source, None)
-            if packet is None:
+                rows = next(source, None)
+            if rows is None:
                 return
-            yield packet
+            yield rows
 
     def fabricate_result(self, columns: list[str], types: list[t.SQLType],
                          rows: list[tuple], timing: RequestTiming,
                          target_sql: Optional[list[str]] = None) -> HQResult:
         """Build a result entirely in the mid-tier (HELP/SHOW commands),
-        still flowing through TDF + conversion so the client sees the same
-        binary shape as real query results."""
-        from repro import tdf as tdf_mod
-
-        batches = list(tdf_mod.batches_of(columns, rows))
+        still flowing through the Result Converter so the client sees the
+        same binary shape as real query results."""
+        # 1 024-row batches, one empty batch for no rows: the framing (and
+        # so the wire chunks) these results have always had.
+        batches = [rows[start:start + 1024]
+                   for start in range(0, len(rows), 1024)] or [[]]
         with timing.measure("result_conversion"):
-            converted = self.converter.convert(batches, types)
+            converted = self.converter.encode(columns, batches, types)
         return HQResult(
             kind="rows", columns=columns, metas=converted.metas,
             converted=converted, rowcount=converted.rowcount, timing=timing,

@@ -4,8 +4,7 @@ The workload the paper targets (Table 1) and the dashboard traffic Sigma
 Worksheet describes re-issue near-identical read-only queries constantly.
 The translation cache already makes those skip parse→bind→transform→
 serialize; this layer makes them skip the *backend* too: a hit replays the
-stored result batches through the normal TDF → Result Converter pipeline
-(:meth:`HyperQSession.fabricate_result`) with zero executor calls.
+wire chunks a live run sent, with zero executor calls and no conversion.
 
 Safety model (two independent layers):
 
@@ -80,17 +79,17 @@ class ResultCacheStats:
 
 @dataclass
 class ResultEntry:
-    """One materialized result: the exact TDF packets the backend produced.
+    """One materialized result: the exact wire chunks a live run sent.
 
-    Storing the *encoded* batches (not decoded rows) means a replay pushes
-    byte-identical packets through the same Result Converter path a live
-    execution uses — the client cannot tell a hit from a backend run — and
-    sizing is exact instead of estimated.
+    Storing the *encoded* chunks (not rows) with the column metas they were
+    encoded under means a hit hands the wire byte-identical chunks with no
+    decode and no re-encode — the client cannot tell a hit from a backend
+    run — and sizing is exact instead of estimated.
     """
 
-    columns: tuple[str, ...]
-    types: tuple                      # declared backend column types
-    packets: tuple[bytes, ...]        # encoded TDF batches, in order
+    metas: tuple                      # wire ColumnMeta per column
+    chunks: tuple[bytes, ...]         # encoded wire chunks, in order
+    rowcount: int
     notes: tuple[tuple[str, str], ...]  # tracker bits to replay on a hit
     deps: tuple[str, ...]             # dependency tables (upper-cased)
     vector: tuple                     # shadow version vector over ``deps``
@@ -103,8 +102,8 @@ class ResultEntry:
 
     def __post_init__(self):
         if not self.size:
-            self.size = sum(len(packet) for packet in self.packets) \
-                + 16 * len(self.columns) + 32 * len(self.notes) \
+            self.size = sum(len(chunk) for chunk in self.chunks) \
+                + 16 * len(self.metas) + 32 * len(self.notes) \
                 + sum(16 + len(name) for name in self.deps) + 256
 
 

@@ -4,8 +4,8 @@ The paper reports three components of end-to-end response time:
 
 * *query translation* — parse + bind + transform + serialize inside Hyper-Q,
 * *execution* — time spent in the target database,
-* *result transformation* — TDF decode + conversion to the source binary
-  format.
+* *result transformation* — checking each backend row batch and encoding
+  it into the source binary format.
 
 The reproduction adds a fourth, *cache lookup* — fingerprinting plus
 translation-cache probe/insert time — so memoized requests keep the Figure 9

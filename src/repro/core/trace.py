@@ -227,45 +227,62 @@ def current_trace() -> Optional[Trace]:
     return span.trace if span is not None else None
 
 
-@contextmanager
-def activate(span: Optional[Span]):
+# ``activate`` and ``span`` wrap most layers of every request, several times
+# over, so they are slotted classes rather than generator context managers
+# (which cost a generator plus a wrapper object per use).
+
+
+class activate:
     """Adopt *span* as the active span — the explicit hand-off for work
     executing on another thread (workload pool workers, stragglers)."""
-    token = _ACTIVE.set(span)
-    try:
-        yield span
-    finally:
-        _ACTIVE.reset(token)
+
+    __slots__ = ("_span", "_token")
+
+    def __init__(self, span: Optional[Span]):
+        self._span = span
+
+    def __enter__(self) -> Optional[Span]:
+        self._token = _ACTIVE.set(self._span)
+        return self._span
+
+    def __exit__(self, *exc_info) -> None:
+        _ACTIVE.reset(self._token)
 
 
-@contextmanager
-def span(name: str, **attrs: object):
+class span:
     """Open a child span of the active span for the duration of the block.
 
-    No-op (yields None) when no trace is active, so instrumentation points
-    cost one context-var read on untraced paths. Exceptions mark the span's
-    outcome and propagate.
+    No-op (``as`` binds None) when no trace is active or the trace has
+    already finished (a late straggler), so instrumentation points cost one
+    context-var read on untraced paths. Exceptions mark the span's outcome
+    ``error:<Type>`` and propagate.
     """
-    parent = _ACTIVE.get()
-    if parent is None:
-        yield None
-        return
-    child = parent.trace.new_span(name, parent)
-    if child is None:  # trace already finished (late straggler)
-        yield None
-        return
-    if attrs:
-        child.attrs.update(attrs)
-    token = _ACTIVE.set(child)
-    try:
-        yield child
-    except BaseException as error:
-        child.finish(f"error:{type(error).__name__}")
-        raise
-    else:
-        child.finish()
-    finally:
-        _ACTIVE.reset(token)
+
+    __slots__ = ("_name", "_attrs", "_child", "_token")
+
+    def __init__(self, name: str, **attrs: object):
+        self._name = name
+        self._attrs = attrs
+
+    def __enter__(self) -> Optional[Span]:
+        parent = _ACTIVE.get()
+        child = self._child = (parent.trace.new_span(self._name, parent)
+                               if parent is not None else None)
+        if child is not None:
+            if self._attrs:
+                child.attrs.update(self._attrs)
+            self._token = _ACTIVE.set(child)
+        return child
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        child = self._child
+        if child is None:
+            return
+        try:
+            child.finish(None if exc_type is None
+                         else f"error:{exc_type.__name__}")
+        finally:
+            _ACTIVE.reset(self._token)
 
 
 def begin_span(name: str, **attrs: object) -> Optional[Span]:

@@ -2,8 +2,9 @@
 
 Section 4.5: provides means to submit requests (simple queries, DML,
 multi-statement scripts) and retrieves results on demand in one or more
-batches packaged in :mod:`repro.tdf`. Handles "very wide rows and extremely
-large result sets" by never materializing more than one batch outside the
+batches — as rows for the in-process driver, packaged in :mod:`repro.tdf`
+for anything that needs bytes. Handles "very wide rows and extremely large
+result sets" by never materializing more than one batch outside the
 :class:`~repro.results.store.ResultStore`.
 
 This layer is also where Hyper-Q absorbs target-side turbulence: every
@@ -30,7 +31,7 @@ Observer = Callable[[str, dict], None]
 
 
 class OdbcResult:
-    """One request's outcome, exposing results as lazily encoded TDF batches."""
+    """One request's outcome, exposing results as lazily pulled batches."""
 
     def __init__(self, raw: QueryResult, batch_rows: int = 1024):
         self._raw = raw
@@ -63,25 +64,31 @@ class OdbcResult:
     def streaming(self) -> bool:
         return self._raw.streaming
 
-    def fetch_batches(self) -> Iterator[bytes]:
-        """Lazily pull row batches and encode each into one TDF packet.
+    def fetch_rows(self) -> Iterator[list[tuple]]:
+        """Lazily pull the backend's row batches — the in-process data path.
 
         Pulls from the backend one batch at a time, so at most one batch of
-        rows plus its encoding is live in this layer. An empty result still
-        yields a single empty packet, which carries the column header
-        downstream. Single-use while the underlying result is streaming.
+        rows is live in this layer. Empty batches are skipped, and an empty
+        result still yields a single empty batch, which carries the column
+        header downstream. Single-use while the underlying result is
+        streaming.
         """
         if self._raw.kind != "rows":
             return
-        columns = self.columns
         produced = False
         for batch in self._raw.iter_batches(self._batch_rows):
             if not batch:
                 continue
             produced = True
-            yield tdf.encode_batch(columns, batch)
+            yield batch
         if not produced:
-            yield tdf.encode_batch(columns, [])
+            yield []
+
+    def fetch_batches(self) -> Iterator[bytes]:
+        """:meth:`fetch_rows`, each batch encoded into one TDF packet (the
+        framing an out-of-process driver would hand over)."""
+        for rows in self.fetch_rows():
+            yield tdf.encode_batch(self.columns, rows)
 
     #: Backwards-compatible name for :meth:`fetch_batches`.
     tdf_batches = fetch_batches

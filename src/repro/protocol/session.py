@@ -372,8 +372,8 @@ class WireSession:
     def _frames(self, result: HQResult, root) -> Iterator:
         """Ship one result, streaming row chunks as they convert.
 
-        Each chunk is pulled (decode, convert and encode all happen lazily
-        inside ``next``) only after the previous frame was written, so a
+        Each chunk is pulled (the backend fetch and the encode both happen
+        lazily inside ``next``) only after the previous frame was written, so a
         slow client exerts backpressure all the way into the backend
         executor. The final SUCCESS frame carries the row total accumulated
         by the stream.

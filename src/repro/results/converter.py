@@ -1,10 +1,15 @@
-"""The Result Converter: TDF -> source binary format (Section 4.6).
+"""The Result Converter: backend rows -> source binary format (Section 4.6).
 
-Unwraps TDF packets coming out of the ODBC Server, converts the rows into
-the source database's binary record format (:mod:`repro.protocol.encoding`),
-optionally in parallel across batches, and either streams the converted
-chunks or buffers them in a :class:`~repro.results.store.ResultStore` when
-the source protocol needs the full count up front.
+Takes the row batches coming out of the ODBC Server and encodes each one
+straight into the source database's binary record format with one compiled
+:class:`~repro.protocol.encoding.RowCodec` per result
+(:meth:`ResultConverter.encode_stream`), optionally in parallel across
+batches, and either streams the converted chunks or buffers them in a
+:class:`~repro.results.store.ResultStore` when the source protocol needs the
+full count up front. Every batch passes :func:`repro.tdf.conform_batch`, so
+the bytes equal those of a TDF round trip without paying for one;
+:meth:`~ResultConverter.convert_stream` and :meth:`~ResultConverter.convert`
+are the adapters for callers that hold TDF packets.
 """
 
 from __future__ import annotations
@@ -157,7 +162,7 @@ class StreamingResult:
 
 
 class ResultConverter:
-    """Converts TDF batches into source-format chunks.
+    """Converts backend row batches into source-format chunks.
 
     ``parallelism > 1`` converts batches concurrently (the paper forks
     conversion processes; threads suffice at reproduction scale because the
@@ -203,83 +208,56 @@ class ResultConverter:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def convert(self, batches: Iterable[bytes],
-                declared_types: Optional[list[SQLType]] = None) -> ConvertedResult:
-        """Convert an iterable of TDF packets into source binary chunks."""
-        decoded: list[tuple[list[str], list[tuple]]] = []
-        for packet in batches:
-            decoded.append(tdf.decode_batch(packet))
-        if not decoded:
-            return ConvertedResult(metas=[], chunks=[], rowcount=0)
-        columns = decoded[0][0]
-        sample_rows = next((rows for __, rows in decoded if rows), [])
-        metas = effective_meta(columns, declared_types or [], sample_rows)
-        encode_one = RowCodec.for_metas(metas).encode
+    def encode_stream(self, columns: list[str],
+                      row_batches: Iterable[list[tuple]],
+                      declared_types: Optional[list[SQLType]] = None,
+                      timing=None,
+                      on_first_chunk: Optional[Callable[[], None]] = None,
+                      tee: Optional[Callable[[list[ColumnMeta], Iterator],
+                                             Iterator]] = None,
+                      ) -> StreamingResult:
+        """Encode row batches into source chunks one batch at a time — the
+        one conversion pipeline.
 
-        row_batches = [rows for __, rows in decoded]
-        with trace_mod.span("result_convert", batches=len(row_batches)) as sp:
-            if self._parallelism > 1 and len(row_batches) > 1:
-                encoded = list(self._ensure_pool().map(
-                    encode_one, row_batches))
-            else:
-                encoded = [encode_one(rows) for rows in row_batches]
-            if sp is not None:
-                sp.annotate("rows", sum(len(rows) for rows in row_batches))
-                sp.annotate("bytes", sum(len(chunk) for chunk in encoded))
-
-        rowcount = sum(len(rows) for rows in row_batches)
-        if self._buffer_all:
-            store = ResultStore(self._max_memory, self._spill_dir)
-            for chunk in encoded:
-                store.append(chunk)
-            return ConvertedResult(metas=metas, rowcount=rowcount, store=store)
-        return ConvertedResult(metas=metas, chunks=encoded, rowcount=rowcount)
-
-    def convert_stream(self, batches: Iterable[bytes],
-                       declared_types: Optional[list[SQLType]] = None,
-                       timing=None,
-                       on_first_chunk: Optional[Callable[[], None]] = None,
-                       ) -> StreamingResult:
-        """Convert TDF packets into source chunks one batch at a time.
-
-        Pulls lazily from *batches*; only the first packet is decoded up
-        front (it supplies the column sample for meta inference, and it makes
-        malformed results fail at convert time). Decode and encode time is
-        accumulated into the ``result_conversion`` stage of *timing* as the
-        stream is consumed. With ``parallelism > 1`` the converter keeps up
-        to that many encodes in flight ahead of the consumer — the paper's
-        parallel conversion, still bounded.
+        Pulls lazily from *row_batches*; only the first batch is taken up
+        front (it supplies the sample for meta inference, and it makes a
+        malformed result fail at convert time). Each batch passes
+        :func:`repro.tdf.conform_batch` and one compiled codec per stream
+        encodes it; that time is accumulated into the ``result_conversion``
+        stage of *timing* as the stream is consumed. With
+        ``parallelism > 1`` the converter keeps up to that many encodes in
+        flight ahead of the consumer — the paper's parallel conversion,
+        still bounded. *tee*, given the metas and the ``(chunk, rows)``
+        stream, returns the stream the result will consume (the result
+        cache captures chunks this way).
         """
         def measure():
             return (timing.measure("result_conversion")
                     if timing is not None else nullcontext())
 
-        iterator = iter(batches)
-        with measure():
-            first_packet = next(iterator, None)
-        if first_packet is None:
+        width = len(columns)
+        iterator = iter(row_batches)
+        first = next(iterator, None)  # backend pull, not conversion
+        if first is None:
             return StreamingResult([], iter(()), self._max_memory,
                                    self._spill_dir, on_first_chunk)
         with measure():
-            columns, sample = tdf.decode_batch(first_packet)
-            metas = effective_meta(columns, declared_types or [], sample)
+            first = tdf.conform_batch(width, first)
+            metas = effective_meta(columns, declared_types or [], first)
         codec = RowCodec.for_metas(metas)  # one compiled codec per stream
 
-        def decoded_batches() -> Iterator[list[tuple]]:
-            yield sample
-            while True:
-                packet = next(iterator, None)  # backend pull, not conversion
-                if packet is None:
-                    return
+        def conformed() -> Iterator[list[tuple]]:
+            yield first
+            for rows in iterator:  # backend pull, not conversion
                 with measure():
-                    __, rows = tdf.decode_batch(packet)
+                    rows = tdf.conform_batch(width, rows)
                 yield rows
 
         def chunk_source() -> Iterator[tuple[bytes, int]]:
             if self._parallelism > 1:
                 pool = self._ensure_pool()
                 in_flight: deque = deque()
-                for rows in decoded_batches():
+                for rows in conformed():
                     in_flight.append(
                         (pool.submit(codec.encode, rows), len(rows)))
                     while len(in_flight) > self._parallelism:
@@ -290,7 +268,7 @@ class ResultConverter:
                     yield future.result(), nrows
             else:
                 encode = codec.encode
-                for rows in decoded_batches():
+                for rows in conformed():
                     with measure():
                         chunk = encode(rows)
                     yield chunk, len(rows)
@@ -315,5 +293,57 @@ class ResultConverter:
                     span.annotate("bytes", size)
                     span.finish()
 
-        return StreamingResult(metas, traced_source(), self._max_memory,
+        source = traced_source()
+        if tee is not None:
+            source = tee(metas, source)
+        return StreamingResult(metas, source, self._max_memory,
                                self._spill_dir, on_first_chunk)
+
+    def encode(self, columns: list[str], row_batches: Iterable[list[tuple]],
+               declared_types: Optional[list[SQLType]] = None,
+               ) -> ConvertedResult:
+        """:meth:`encode_stream`, drained into a :class:`ConvertedResult`
+        (into a bounded store unless the converter keeps plain chunks)."""
+        stream = self.encode_stream(columns, row_batches, declared_types)
+        if self._buffer_all:
+            store = stream.buffer()
+            return ConvertedResult(metas=stream.metas,
+                                   rowcount=stream.rowcount, store=store)
+        chunks = list(stream.iter_chunks())
+        return ConvertedResult(metas=stream.metas, chunks=chunks,
+                               rowcount=stream.rowcount)
+
+    def convert_stream(self, batches: Iterable[bytes],
+                       declared_types: Optional[list[SQLType]] = None,
+                       timing=None,
+                       on_first_chunk: Optional[Callable[[], None]] = None,
+                       ) -> StreamingResult:
+        """TDF adapter over :meth:`encode_stream`: each packet is decoded
+        when the stream pulls it (the first one up front, for its column
+        names)."""
+        columns, row_batches = _decode_first(iter(batches))
+        return self.encode_stream(columns, row_batches, declared_types,
+                                  timing=timing, on_first_chunk=on_first_chunk)
+
+    def convert(self, batches: Iterable[bytes],
+                declared_types: Optional[list[SQLType]] = None
+                ) -> ConvertedResult:
+        """TDF adapter over :meth:`encode`."""
+        columns, row_batches = _decode_first(iter(batches))
+        return self.encode(columns, row_batches, declared_types)
+
+
+def _decode_first(packets: Iterator[bytes]):
+    """``(columns, lazily decoded row batches)`` of a TDF packet stream;
+    no columns and no batches when there is no packet."""
+    first = next(packets, None)
+    if first is None:
+        return [], iter(())
+    columns, rows = tdf.decode_batch(first)
+
+    def row_batches() -> Iterator[list[tuple]]:
+        yield rows
+        for packet in packets:
+            yield tdf.decode_batch(packet)[1]
+
+    return columns, row_batches()

@@ -6,12 +6,21 @@ nested data". Every value carries a type tag, so batches are self-describing
 and survive schema-less paths (CTAS results, untyped projections); LIST and
 BYTES tags provide the nesting/extensibility hook.
 
+TDF is the ODBC Server's framing for out-of-process drivers and the
+byte-level spec of what a result row may hold. The in-process driver does
+not round-trip through it: its row batches go straight to the Result
+Converter, which applies :func:`conform_batch` — the same checks and value
+normalisation as ``decode_batch(encode_batch(...))``, without the packet.
+
 Layout of one batch::
 
     magic 'TDF1' | u32 column_count | column names (u16 len + utf8) ...
     | u32 row_count | rows
 
-Each value: 1 tag byte followed by a tag-specific payload.
+Each value: 1 tag byte followed by a tag-specific payload. TIMESTAMP is an
+i64 count of microseconds since the naive 1970 epoch (wall clock: exact,
+independent of the process time zone, and covering years 1-9999); TIME is
+an i64 count of microseconds since midnight. Both drop ``tzinfo``.
 """
 
 from __future__ import annotations
@@ -36,16 +45,24 @@ TAG_BYTES = 8
 TAG_LIST = 9
 
 _EPOCH = datetime.date(1970, 1, 1)
+_EPOCH_TS = datetime.datetime(1970, 1, 1)
+_MICROSECOND = datetime.timedelta(microseconds=1)
+_I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
 
-# Every backend row funnels through these loops (the ODBC server encodes, the
-# result converter decodes), so the per-value ``struct`` formats are compiled
-# once at import and bound as locals, and the common scalar tags take an
-# exact-type fast path ahead of the isinstance ladder.
+# Out-of-process drivers push every row through these loops, so the
+# per-value ``struct`` formats are compiled once at import and bound as
+# locals, and the common scalar tags take an exact-type fast path ahead of
+# the isinstance ladder.
 _S_I64 = struct.Struct("<q")
 _S_F64 = struct.Struct("<d")
 _S_I32 = struct.Struct("<i")
 _S_U32 = struct.Struct("<I")
 _S_U16 = struct.Struct("<H")
+
+
+def _too_wide(value: int) -> ConversionError:
+    return ConversionError(f"TDF cannot encode integer {value} "
+                           "(outside 64 bits)")
 
 
 def _encode_value(value: object, out: bytearray,
@@ -54,7 +71,10 @@ def _encode_value(value: object, out: bytearray,
     kind = type(value)
     if kind is int:
         out.append(TAG_INT)
-        out += _pq(value)
+        try:
+            out += _pq(value)
+        except struct.error:
+            raise _too_wide(value) from None
     elif kind is str:
         payload = value.encode("utf-8")
         out.append(TAG_STRING)
@@ -70,7 +90,10 @@ def _encode_value(value: object, out: bytearray,
         out.append(1 if value else 0)
     elif isinstance(value, int):
         out.append(TAG_INT)
-        out += _pq(value)
+        try:
+            out += _pq(value)
+        except struct.error:
+            raise _too_wide(value) from None
     elif isinstance(value, float):
         out.append(TAG_FLOAT)
         out += _pd(value)
@@ -81,7 +104,7 @@ def _encode_value(value: object, out: bytearray,
         out += payload
     elif isinstance(value, datetime.datetime):
         out.append(TAG_TIMESTAMP)
-        out += _pd(value.timestamp())
+        out += _pq((value.replace(tzinfo=None) - _EPOCH_TS) // _MICROSECOND)
     elif isinstance(value, datetime.date):
         out.append(TAG_DATE)
         out += _pi((value - _EPOCH).days)
@@ -126,8 +149,8 @@ def _decode_value(buffer: memoryview, offset: int,
         days = _ui(buffer, offset)[0]
         return _EPOCH + datetime.timedelta(days=days), offset + 4
     if tag == TAG_TIMESTAMP:
-        stamp = _ud(buffer, offset)[0]
-        return datetime.datetime.fromtimestamp(stamp), offset + 8
+        micros = _uq(buffer, offset)[0]
+        return _EPOCH_TS + micros * _MICROSECOND, offset + 8
     if tag == TAG_TIME:
         micros = _uq(buffer, offset)[0]
         seconds, micro = divmod(micros, 1_000_000)
@@ -196,6 +219,55 @@ def decode_batch(packet: bytes) -> tuple[list[str], list[tuple]]:
             append(value)
         rows.append(tuple(values))
     return columns, rows
+
+
+#: Value types a TDF round trip hands back unchanged, provided an int fits
+#: in 64 bits and a datetime or time is naive (checked per column).
+_KEPT = frozenset({type(None), bool, int, float, str, datetime.date,
+                   datetime.datetime, datetime.time})
+
+
+def _kept(column: tuple, kinds: set) -> bool:
+    """Does a TDF round trip return every value of *column* unchanged?"""
+    if not kinds <= _KEPT:
+        return False
+    if int in kinds:
+        ints = column if len(kinds) == 1 \
+            else [value for value in column if type(value) is int]
+        if min(ints) < _I64_MIN or max(ints) > _I64_MAX:
+            return False
+    if datetime.datetime in kinds or datetime.time in kinds:
+        return not any(getattr(value, "tzinfo", None) is not None
+                       for value in column)
+    return True
+
+
+def _read_back(value: object) -> object:
+    out = bytearray()
+    _encode_value(value, out)
+    return _decode_value(memoryview(out), 0)[0]
+
+
+def conform_batch(width: int, rows: list) -> list:
+    """The rows ``decode_batch(encode_batch(columns, rows))`` would return,
+    for *width* columns, without building the packet.
+
+    This is how the in-process data path keeps TDF's contract while
+    skipping its bytes: the same row-width check, the same
+    ``ConversionError`` for any value the type ladder rejects, and the same
+    normalised values (int subclasses to int, tuples to lists, aware clocks
+    to naive ...). A batch whose values the round trip would keep as they
+    are — every batch the stand-in warehouse produces — comes back as the
+    same list after one type scan per column.
+    """
+    if not set(map(len, rows)) <= {width}:
+        short = next(row for row in rows if len(row) != width)
+        raise ConversionError(
+            f"TDF row has {len(short)} values for {width} columns")
+    for column in zip(*rows):
+        if not _kept(column, set(map(type, column))):
+            return [tuple(map(_read_back, row)) for row in rows]
+    return rows
 
 
 def batches_of(columns: list[str], rows: list[tuple],

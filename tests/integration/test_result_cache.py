@@ -7,8 +7,11 @@ import pickle
 
 import pytest
 
+from repro import tdf
+from repro.core.budget import BatchBudget
 from repro.core.cache import CacheTier
 from repro.core.engine import HyperQ
+from repro.protocol.encoding import RowCodec, encode_meta
 
 CACHE_BYTES = 1 << 20
 
@@ -57,6 +60,50 @@ class TestZeroBackendCalls:
         live_count = live.rowcount
         replay = session.execute("SELECT ID FROM T")
         assert replay.rowcount == live_count == 2
+
+
+class TestReplayIsTheLiveReply:
+    """A hit hands the wire the chunks the live run sent: byte-identical to
+    the miss and to an uncached engine, with no conversion work at all."""
+
+    SQL = "SELECT ID, VAL, D, S FROM R ORDER BY ID"
+
+    @staticmethod
+    def seeded(engine):
+        s = engine.create_session()
+        s.execute("CREATE MULTISET TABLE R (ID INTEGER, VAL DECIMAL(12,2), "
+                  "D DATE, S VARCHAR(10))")
+        s.execute("INSERT INTO R VALUES (1, 10.5, DATE '2014-01-01', 'a'), "
+                  "(2, NULL, NULL, 'bb'), (3, 30.25, DATE '1999-12-31', NULL)")
+        return s
+
+    @staticmethod
+    def reply(session, sql):
+        """The RESULT_META payload and the RESULT_ROWS payloads."""
+        result = session.execute(sql)
+        try:
+            return encode_meta(result.metas), list(result.iter_chunks())
+        finally:
+            result.close()
+
+    def test_hit_bytes_equal_miss_and_uncached_run(self, monkeypatch):
+        budget = BatchBudget(batch_rows=2)
+        cached = self.seeded(HyperQ(result_cache_bytes=CACHE_BYTES,
+                                    batch_budget=budget))
+        miss = self.reply(cached, self.SQL)
+
+        def trapped(*args, **kwargs):
+            raise AssertionError("conversion on a result-cache hit")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(RowCodec, "encode", trapped)
+            patch.setattr(tdf, "decode_batch", trapped)
+            hit = self.reply(cached, self.SQL)
+        assert cached.engine.result_cache_stats().hits == 1
+        uncached = self.reply(self.seeded(HyperQ(batch_budget=budget)),
+                              self.SQL)
+        assert hit == miss == uncached
+        assert len(miss[1]) == 2  # two batches, two chunks
 
 
 class TestInvalidation:

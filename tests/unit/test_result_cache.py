@@ -11,13 +11,14 @@ from repro.core.faults import (
     FaultSpec,
 )
 from repro.core.result_cache import ResultCache, ResultEntry
+from repro.protocol.encoding import CODE_INTEGER, ColumnMeta
 
 
 def make_entry(deps=("T",), vector=(("T", 1, 1),), payload=b"x" * 64,
-               packets=None):
+               chunks=None):
     return ResultEntry(
-        columns=("A",), types=("INTEGER",),
-        packets=packets if packets is not None else (payload,),
+        metas=(ColumnMeta("A", CODE_INTEGER),),
+        chunks=chunks if chunks is not None else (payload,), rowcount=1,
         notes=(), deps=deps, vector=vector)
 
 

@@ -1,6 +1,7 @@
 """Unit tests for the binary formats: TDF and the source wire encoding."""
 
 import datetime
+import time
 
 import pytest
 
@@ -46,6 +47,26 @@ class TestTDF:
         packet = tdf.encode_batch(["T"], [(value,)])
         __, rows = tdf.decode_batch(packet)
         assert rows == [(value,)]
+
+    def test_timestamps_exact_over_full_range_in_any_time_zone(
+            self, monkeypatch):
+        """TIMESTAMP is microseconds since the naive epoch: years 1-9999
+        survive, and a wall-clock time in a DST gap is not shifted."""
+        values = [(datetime.datetime(9999, 12, 31, 23, 59, 59, 999999),),
+                  (datetime.datetime(1, 1, 1),),
+                  (datetime.datetime(2021, 3, 14, 2, 30),)]
+        monkeypatch.setenv("TZ", "EST5EDT,M3.2.0,M11.1.0")  # New York
+        time.tzset()
+        try:
+            __, rows = tdf.decode_batch(tdf.encode_batch(["TS"], values))
+        finally:
+            monkeypatch.undo()
+            time.tzset()
+        assert rows == values
+
+    def test_integer_beyond_64_bits_rejected(self):
+        with pytest.raises(ConversionError):
+            tdf.encode_batch(["A"], [(2 ** 63,)])
 
     def test_arity_mismatch_rejected(self):
         with pytest.raises(ConversionError):

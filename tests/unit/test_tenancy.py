@@ -16,6 +16,7 @@ import pytest
 from repro.core.cache import CacheEntry, TranslationCache
 from repro.core.faults import QUOTA_EXCEEDED, FaultSchedule, FaultSpec
 from repro.core.result_cache import ResultCache, ResultEntry
+from repro.protocol.encoding import CODE_INTEGER, ColumnMeta
 from repro.core.tenancy import (DEFAULT_TENANT, TenancyConfig, TenantQuota,
                                 TenantRegistry, histogram_quantile,
                                 merge_reports, render_tenants, tenant_report)
@@ -35,8 +36,8 @@ class _Clock:
 
 
 def _entry(payload: int = 100, ttl: float = 0.0) -> ResultEntry:
-    return ResultEntry(columns=("A",), types=("INTEGER",),
-                       packets=(b"x" * payload,), notes=(),
+    return ResultEntry(metas=(ColumnMeta("A", CODE_INTEGER),),
+                       chunks=(b"x" * payload,), rowcount=1, notes=(),
                        deps=("T",), vector=(("T", 0, 0),), ttl=ttl)
 
 
