@@ -9,9 +9,12 @@ module removes repeated translation work entirely:
   case- and comment-insensitive token stream with literals lifted into
   synthetic slots, so ``SEL * FROM T WHERE ID = 7`` and ``... ID = 42``
   share one cache entry.
-* :class:`TranslationCache` is a byte-capped, thread-safe LRU keyed by
-  ``(source, target-capability-profile, fingerprint,
-  session-overlay-version)`` storing the serialized target SQL (as a
+* :class:`DependencyLRU` is the byte-capped, tenant-aware LRU with a
+  table→keys dependency index that this cache, the result cache and the
+  gateway's cache service all store into.
+* :class:`TranslationCache` is a thread-safe policy over that store, keyed
+  by ``(source, target-capability-profile, fingerprint,
+  session-overlay-version)`` and storing the serialized target SQL (as a
   literal-slot template when safe, exact text otherwise) plus the tracker
   feature bits observed during translation.
 
@@ -38,7 +41,7 @@ from __future__ import annotations
 import datetime
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Callable, NamedTuple, Optional
 
 from repro.core.deps import WILDCARD
@@ -298,6 +301,142 @@ class CacheTier:
         raise NotImplementedError
 
 
+# -- the store under every cache ----------------------------------------------------
+
+
+class DependencyLRU:
+    """Byte-capped LRU with per-tenant reserved shares and a dependency index.
+
+    The one store under the translation cache, the result cache and the
+    gateway's cache service. Values expose ``size`` (bytes) and ``deps``
+    (upper-cased table names, ``"*"`` when the closure is unknown). Not
+    thread-safe: each owner calls it under its own lock.
+
+    Eviction walks from the LRU head and skips another tenant's entries
+    while that tenant sits at or below its reserved share; the inserting
+    tenant may always shed its own entries, and when every candidate is
+    protected the global LRU head goes anyway (progress beats protection).
+    """
+
+    def __init__(self, max_bytes: int, tenant_shares: Optional[dict] = None):
+        shares = dict(tenant_shares) if tenant_shares else {}
+        if sum(shares.values()) > 1.0 + 1e-9:
+            raise ValueError("tenant cache shares sum to more than the "
+                             "whole cache")
+        self.max_bytes = max_bytes
+        self._reserved = {tenant: int(share * max_bytes)
+                          for tenant, share in shares.items()}
+        self._entries: "OrderedDict[tuple, object]" = OrderedDict()
+        self._owner: dict[tuple, Optional[str]] = {}
+        self._tenant_bytes: dict[str, int] = {}
+        # Inverted dependency index: table name (or "*") -> keys.
+        self._dep_index: dict[str, set] = {}
+        self._bytes = 0
+
+    def peek(self, key: tuple):
+        """The value under *key* (or None) without touching LRU order."""
+        return self._entries.get(key)
+
+    def touch(self, key: tuple) -> None:
+        self._entries.move_to_end(key)
+
+    def get(self, key: tuple):
+        value = self._entries.get(key)
+        if value is not None:
+            self._entries.move_to_end(key)
+        return value
+
+    def put(self, key: tuple, value, tenant: Optional[str] = None) -> int:
+        """Insert or replace *key* as most recent, attributing its bytes to
+        *tenant*, then evict over the cap; returns the eviction count."""
+        self.discard(key)
+        self._entries[key] = value
+        self._owner[key] = tenant
+        self._charge(tenant, value.size)
+        for name in value.deps:
+            self._dep_index.setdefault(name, set()).add(key)
+        evicted = 0
+        while self._bytes > self.max_bytes and self._entries:
+            victim = next((k for k in self._entries
+                           if self._evictable(k, tenant)), None)
+            self.discard(victim if victim is not None
+                         else next(iter(self._entries)))
+            evicted += 1
+        return evicted
+
+    def _evictable(self, key: tuple, inserting: Optional[str]) -> bool:
+        owner = self._owner[key]
+        if owner is None or owner == inserting:
+            return True
+        return self._tenant_bytes.get(owner, 0) > self._reserved.get(owner, 0)
+
+    def _charge(self, tenant: Optional[str], delta: int) -> None:
+        self._bytes += delta
+        if tenant is not None:
+            total = self._tenant_bytes.get(tenant, 0) + delta
+            if total > 0:
+                self._tenant_bytes[tenant] = total
+            else:
+                self._tenant_bytes.pop(tenant, None)
+
+    def discard(self, key: tuple) -> bool:
+        """Drop *key* if present; True when something was dropped."""
+        value = self._entries.pop(key, None)
+        if value is None:
+            return False
+        self._charge(self._owner.pop(key), -value.size)
+        for name in value.deps:
+            keys = self._dep_index.get(name)
+            if keys is not None:
+                keys.discard(key)
+                if not keys:
+                    del self._dep_index[name]
+        return True
+
+    def invalidate(self, names) -> int:
+        """Drop every entry whose deps intersect *names* (case-insensitive)
+        or carry the wildcard; ``"*"`` in *names* drops everything."""
+        touched = {name.upper() for name in names}
+        if WILDCARD in touched:
+            stale = list(self._entries)
+        else:
+            stale = set()
+            for name in touched | {WILDCARD}:
+                stale.update(self._dep_index.get(name, ()))
+        for key in stale:
+            self.discard(key)
+        return len(stale)
+
+    def drop_where(self, predicate: Callable[[object], bool]) -> int:
+        stale = [key for key, value in self._entries.items()
+                 if predicate(value)]
+        for key in stale:
+            self.discard(key)
+        return len(stale)
+
+    def __iter__(self):
+        """Keys in LRU order, least recent first."""
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    @property
+    def used_bytes(self) -> int:
+        return self._bytes
+
+    def tenant_bytes(self) -> dict[str, int]:
+        """Bytes currently resident per tenant (insert-attributed)."""
+        return dict(self._tenant_bytes)
+
+    def clear(self) -> None:
+        self._entries.clear()
+        self._owner.clear()
+        self._tenant_bytes.clear()
+        self._dep_index.clear()
+        self._bytes = 0
+
+
 # -- the cache ----------------------------------------------------------------------
 
 
@@ -389,11 +528,13 @@ class CacheEntry:
 
 
 class TranslationCache:
-    """Thread-safe byte-capped LRU over :class:`CacheEntry`.
+    """Thread-safe translation memo over a :class:`DependencyLRU`.
 
     Shared by every session of an engine (and, through the protocol server,
     every concurrent connection). All mutation happens under one lock; the
     expensive work — fingerprinting and sentinel probing — happens outside.
+    ``tenant_shares`` maps tenant name -> fraction of the cap below which
+    other tenants' inserts may not evict that tenant's entries.
     """
 
     #: Entry count cap for the exact-text fingerprint memo.
@@ -404,24 +545,9 @@ class TranslationCache:
         if max_bytes <= 0:
             raise ValueError("TranslationCache needs a positive byte cap; "
                              "use cache_size=0 on the engine to disable")
-        self._max_bytes = max_bytes
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[tuple, CacheEntry]" = OrderedDict()
-        # Inverted dependency index: table name (or "*") -> entry keys.
-        self._dep_index: dict[str, set] = {}
-        self._bytes = 0
+        self._store = DependencyLRU(max_bytes, tenant_shares)
         self._stats = CacheStats()
-        # Per-tenant byte accounting with reserved eviction floors:
-        # ``tenant_shares`` maps tenant name -> fraction of the cap below
-        # which other tenants' inserts may not evict that tenant's entries.
-        shares = dict(tenant_shares) if tenant_shares else {}
-        if sum(shares.values()) > 1.0 + 1e-9:
-            raise ValueError("tenant translation-cache shares sum to more "
-                             "than the whole cache")
-        self._reserved = {tenant: int(share * max_bytes)
-                          for tenant, share in shares.items()}
-        self._owner: dict[tuple, Optional[str]] = {}
-        self._tenant_bytes: dict[str, int] = {}
         #: Optional shared L2 (:class:`CacheTier`): consulted outside the
         #: lock on L1 misses, written through on inserts. Only entries with
         #: no session overlay in the key are shared — overlay uids are
@@ -463,121 +589,52 @@ class TranslationCache:
         attached (and no session overlay in the key), the tier is consulted
         *outside* the lock — a tier RPC must never serialize the fleet's
         hot path — and a tier entry is adopted into the L1 so the next
-        lookup of the same statement is purely local.
+        lookup of the same statement is purely local. Any tier error
+        (service down, protocol hiccup) degrades to a miss.
         """
-        exact_key = key_base + ("E", fp.values_key(), params_key)
         with self._lock:
-            if params_key is None:
-                entry = self._entries.get(key_base + ("T",))
-                if entry is not None and entry.template is not None:
-                    rendered = entry.template.render(fp.slots)
-                    if rendered is not None:
-                        self._entries.move_to_end(key_base + ("T",))
-                        self._stats.hits += 1
-                        return entry.hit(rendered)
-            entry = self._entries.get(exact_key)
-            if entry is not None and entry.sql is not None:
-                self._entries.move_to_end(exact_key)
+            found = self._probe(self._store.peek, key_base, fp, params_key)
+            if found is not None:
+                self._store.touch(found[0])
                 self._stats.hits += 1
-                return entry.hit(entry.sql)
+                return found[1].hit(found[2])
         shareable = self.tier is not None and key_base[3] is None
         if shareable:
-            found = self._tier_lookup(key_base, fp, params_key, exact_key)
+            try:
+                found = self._probe(self.tier.get, key_base, fp, params_key)
+            except Exception:
+                found = None
             if found is not None:
-                return found
+                # Adopted, not inserted: no translation happened here.
+                with self._lock:
+                    self._stats.hits += 1
+                    self._stats.tier_hits += 1
+                    self._stats.evictions += self._store.put(found[0],
+                                                             found[1])
+                return found[1].hit(found[2])
         with self._lock:
             self._stats.misses += 1
             if shareable:
                 self._stats.tier_misses += 1
             return None
 
-    def _tier_lookup(self, key_base: tuple, fp: Fingerprint,
-                     params_key: Optional[tuple],
-                     exact_key: tuple) -> Optional[CacheHit]:
-        """Consult the shared tier after an L1 miss; adopt hits into the L1.
-        Any tier error (service down, protocol hiccup) degrades to a miss."""
-        try:
-            if params_key is None:
-                entry = self.tier.get(key_base + ("T",))
-                if entry is not None and entry.template is not None:
-                    rendered = entry.template.render(fp.slots)
-                    if rendered is not None:
-                        self._adopt(key_base + ("T",), entry)
-                        return entry.hit(rendered)
-            entry = self.tier.get(exact_key)
-            if entry is not None and entry.sql is not None:
-                self._adopt(exact_key, entry)
-                return entry.hit(entry.sql)
-        except Exception:
-            return None
+    @staticmethod
+    def _probe(get, key_base: tuple, fp: Fingerprint,
+               params_key: Optional[tuple]):
+        """The template key, then the exact key, through *get*:
+        ``(key, entry, target_sql)`` of the entry a lookup serves, or None."""
+        if params_key is None:
+            key = key_base + ("T",)
+            entry = get(key)
+            if entry is not None and entry.template is not None:
+                rendered = entry.template.render(fp.slots)
+                if rendered is not None:
+                    return key, entry, rendered
+        key = key_base + ("E", fp.values_key(), params_key)
+        entry = get(key)
+        if entry is not None and entry.sql is not None:
+            return key, entry, entry.sql
         return None
-
-    def _index_add(self, key: tuple, entry: CacheEntry) -> None:
-        for name in entry.deps:
-            self._dep_index.setdefault(name, set()).add(key)
-
-    def _index_remove(self, key: tuple, entry: CacheEntry) -> None:
-        for name in entry.deps:
-            keys = self._dep_index.get(name)
-            if keys is not None:
-                keys.discard(key)
-                if not keys:
-                    del self._dep_index[name]
-
-    def _install(self, key: tuple, entry: CacheEntry,
-                 tenant: Optional[str] = None) -> None:
-        """Put *entry* under *key* and evict over cap; caller holds the lock."""
-        previous = self._entries.pop(key, None)
-        if previous is not None:
-            self._account(key, -previous.size)
-            self._index_remove(key, previous)
-        self._entries[key] = entry
-        self._owner[key] = tenant
-        self._account(key, entry.size)
-        self._index_add(key, entry)
-        while self._bytes > self._max_bytes and self._entries:
-            victim = next((k for k in self._entries
-                           if self._evictable(k, tenant)), None)
-            if victim is None:
-                # Everyone else is at or below their reserved floor:
-                # progress beats protection, take the global LRU head.
-                victim = next(iter(self._entries))
-            self._remove(victim, self._entries[victim])
-            self._stats.evictions += 1
-
-    def _account(self, key: tuple, delta: int) -> None:
-        self._bytes += delta
-        tenant = self._owner.get(key)
-        if tenant is None:
-            return
-        total = self._tenant_bytes.get(tenant, 0) + delta
-        if total > 0:
-            self._tenant_bytes[tenant] = total
-        else:
-            self._tenant_bytes.pop(tenant, None)
-
-    def _evictable(self, key: tuple, inserting: Optional[str]) -> bool:
-        """May *key* be evicted on behalf of tenant *inserting*?  A tenant
-        may always shed its own entries; another tenant's entries are fair
-        game only while that tenant sits above its reserved share."""
-        owner = self._owner.get(key)
-        if owner is None or owner == inserting:
-            return True
-        return self._tenant_bytes.get(owner, 0) > self._reserved.get(owner, 0)
-
-    def _remove(self, key: tuple, entry: CacheEntry) -> None:
-        del self._entries[key]
-        self._account(key, -entry.size)
-        self._owner.pop(key, None)
-        self._index_remove(key, entry)
-
-    def _adopt(self, key: tuple, entry: CacheEntry) -> None:
-        """Install a tier-provided entry into the L1 (counted as a hit plus
-        a tier hit, never as an insert — no translation happened here)."""
-        with self._lock:
-            self._stats.hits += 1
-            self._stats.tier_hits += 1
-            self._install(key, entry)
 
     def contains(self, key_base: tuple, fp: Fingerprint,
                  params_key: Optional[tuple]) -> bool:
@@ -585,14 +642,8 @@ class TranslationCache:
         order — the workload classifier's cache-hit probe must not distort
         the hit rate or the eviction sequence."""
         with self._lock:
-            if params_key is None:
-                entry = self._entries.get(key_base + ("T",))
-                if entry is not None and entry.template is not None \
-                        and entry.template.render(fp.slots) is not None:
-                    return True
-            entry = self._entries.get(
-                key_base + ("E", fp.values_key(), params_key))
-            return entry is not None and entry.sql is not None
+            return self._probe(self._store.peek, key_base, fp,
+                               params_key) is not None
 
     def insert(self, key_base: tuple, fp: Fingerprint,
                params_key: Optional[tuple], target_sql: str,
@@ -640,7 +691,7 @@ class TranslationCache:
                            write_tables=tuple(write_tables))
         with self._lock:
             self._stats.inserts += 1
-            self._install(key, entry, tenant=tenant)
+            self._stats.evictions += self._store.put(key, entry, tenant)
         # Write through to the shared tier (outside the lock): a statement
         # one worker translated becomes a warm hit for the whole fleet.
         if self.tier is not None and key_base[3] is None:
@@ -674,21 +725,14 @@ class TranslationCache:
         """
         touched = tuple(sorted({name.upper() for name in names}))
         with self._lock:
-            if WILDCARD in touched:
-                stale = set(self._entries)
-            else:
-                stale: set = set()
-                for name in touched + (WILDCARD,):
-                    stale |= self._dep_index.get(name, set())
-            for key in stale:
-                self._remove(key, self._entries[key])
-            self._stats.invalidations += len(stale)
+            dropped = self._store.invalidate(touched)
+            self._stats.invalidations += dropped
         if self.tier is not None:
             try:
                 self.tier.invalidate_tables(touched)
             except Exception:
                 pass
-        return len(stale)
+        return dropped
 
     def invalidate_overlay(self, session_uid: int) -> int:
         """Drop entries translated under *session_uid*'s volatile overlay.
@@ -697,17 +741,11 @@ class TranslationCache:
         could have resolved a name through the session's previous overlay
         state is discarded.
         """
-        return self._invalidate(
-            lambda entry: entry.overlay_uid == session_uid)
-
-    def _invalidate(self, predicate) -> int:
         with self._lock:
-            stale = [key for key, entry in self._entries.items()
-                     if predicate(entry)]
-            for key in stale:
-                self._remove(key, self._entries[key])
-            self._stats.invalidations += len(stale)
-            return len(stale)
+            dropped = self._store.drop_where(
+                lambda entry: entry.overlay_uid == session_uid)
+            self._stats.invalidations += dropped
+            return dropped
 
     # -- introspection ----------------------------------------------------------------
 
@@ -718,22 +756,18 @@ class TranslationCache:
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._entries)
+            return len(self._store)
 
     @property
     def used_bytes(self) -> int:
         with self._lock:
-            return self._bytes
+            return self._store.used_bytes
 
     def tenant_bytes(self) -> dict[str, int]:
         """Bytes currently resident per tenant (insert-attributed)."""
         with self._lock:
-            return dict(self._tenant_bytes)
+            return self._store.tenant_bytes()
 
     def clear(self) -> None:
         with self._lock:
-            self._entries.clear()
-            self._dep_index.clear()
-            self._owner.clear()
-            self._tenant_bytes.clear()
-            self._bytes = 0
+            self._store.clear()

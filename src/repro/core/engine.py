@@ -964,8 +964,7 @@ class HyperQSession:
         self._pending_capture = capture
         return capture
 
-    def _capturing_chunks(self, capture, target_sql: str, timing, metas,
-                          chunks):
+    def _capturing_chunks(self, capture, target_sql: str, metas, chunks):
         """Tee the converted ``(chunk, rows)`` stream into a result-cache
         entry.
 
@@ -996,9 +995,7 @@ class HyperQSession:
             metas=tuple(metas), chunks=tuple(collected), rowcount=rowcount,
             notes=tuple(notes), deps=capture.deps, vector=capture.vector,
             target_sql=target_sql)
-        backend_ms = timing.execution * 1e3
-        if rcache.insert(capture.key, entry, tenant=self.tenant,
-                         backend_ms=backend_ms):
+        if rcache.insert(capture.key, entry, tenant=self.tenant):
             metrics = self.engine.tracing.metrics
             if metrics is not None:
                 metrics.counter("hyperq_result_cache_inserts_total").inc()
@@ -1090,7 +1087,7 @@ class HyperQSession:
         if capture is not None and self.engine.result_cache is not None:
             tee = functools.partial(
                 self._capturing_chunks, capture,
-                target_sql[0] if len(target_sql) == 1 else "", timing)
+                target_sql[0] if len(target_sql) == 1 else "")
         converted = self.converter.encode_stream(
             odbc_result.columns,
             self._timed_batches(odbc_result, timing),

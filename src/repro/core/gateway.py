@@ -58,12 +58,10 @@ import tempfile
 import threading
 import time
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.cache import CacheEntry, CacheTier
-from repro.core.deps import WILDCARD
+from repro.core.cache import CacheEntry, CacheTier, DependencyLRU
 from repro.core.faults import FaultSchedule, FaultSpec
 from repro.core.trace import MetricsRegistry, aggregate_metrics, render_trace
 from repro.errors import HyperQError
@@ -252,91 +250,20 @@ def _cache_path(run_dir: str) -> str:
 # -- the shared translation-cache tier ------------------------------------------------
 
 
-class _TierStore:
-    """Byte-capped LRU of :class:`CacheEntry` for the cache service.
-
-    Mirrors the L1's semantic invalidation: every entry carries its
-    dependency table set and an inverted table→keys index drops exactly
-    the entries a DDL epoch bump affects, fleet-wide."""
-
-    def __init__(self, max_bytes: int):
-        self.max_bytes = max_bytes
-        self._entries: "OrderedDict[tuple, CacheEntry]" = OrderedDict()
-        self._dep_index: dict[str, set] = {}
-        self._bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.inserts = 0
-        self.evictions = 0
-        self.invalidated = 0
-
-    def get(self, key: tuple) -> Optional[CacheEntry]:
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return entry
-
-    def put(self, key: tuple, entry: CacheEntry) -> None:
-        previous = self._entries.pop(key, None)
-        if previous is not None:
-            self._bytes -= previous.size
-            self._index_remove(key, previous)
-        self._entries[key] = entry
-        self._bytes += entry.size
-        self._index_add(key, entry)
-        self.inserts += 1
-        while self._bytes > self.max_bytes and self._entries:
-            evicted_key, evicted = self._entries.popitem(last=False)
-            self._bytes -= evicted.size
-            self._index_remove(evicted_key, evicted)
-            self.evictions += 1
-
-    def invalidate_tables(self, names) -> int:
-        touched = {str(name).upper() for name in names}
-        if WILDCARD in touched:
-            stale = set(self._entries)
-        else:
-            stale = set()
-            for name in touched | {WILDCARD}:
-                stale |= self._dep_index.get(name, set())
-        for key in stale:
-            entry = self._entries.pop(key)
-            self._bytes -= entry.size
-            self._index_remove(key, entry)
-        self.invalidated += len(stale)
-        return len(stale)
-
-    def _index_add(self, key: tuple, entry: CacheEntry) -> None:
-        for name in entry.deps:
-            self._dep_index.setdefault(name, set()).add(key)
-
-    def _index_remove(self, key: tuple, entry: CacheEntry) -> None:
-        for name in entry.deps:
-            keys = self._dep_index.get(name)
-            if keys is not None:
-                keys.discard(key)
-                if not keys:
-                    del self._dep_index[name]
-
-    def stats(self) -> dict:
-        return {"entries": len(self._entries), "bytes": self._bytes,
-                "hits": self.hits, "misses": self.misses,
-                "inserts": self.inserts, "evictions": self.evictions,
-                "invalidated": self.invalidated}
-
-
 def _cache_service_main(path: str, max_bytes: int,
                         close_fds: tuple[int, ...]) -> None:
-    """Entry point of the cache-service process."""
+    """Entry point of the cache-service process: one :class:`DependencyLRU`
+    of :class:`CacheEntry` behind the RPC lock. Every entry carries its
+    dependency set, so a DDL epoch bump drops exactly the affected entries,
+    fleet-wide."""
     for fd in close_fds:
         try:
             os.close(fd)
         except OSError:
             pass
-    store = _TierStore(max_bytes)
+    store = DependencyLRU(max_bytes)
+    counts = dict.fromkeys(
+        ("hits", "misses", "inserts", "evictions", "invalidated"), 0)
     lock = threading.Lock()
 
     def handle(request):
@@ -348,14 +275,20 @@ def _cache_service_main(path: str, max_bytes: int,
             return "bye"
         with lock:
             if op == "get":
-                return store.get(request[1])
+                entry = store.get(request[1])
+                counts["hits" if entry is not None else "misses"] += 1
+                return entry
             if op == "put":
-                store.put(request[1], request[2])
+                counts["inserts"] += 1
+                counts["evictions"] += store.put(request[1], request[2])
                 return True
             if op == "invalidate_tables":
-                return store.invalidate_tables(request[1])
+                dropped = store.invalidate(request[1])
+                counts["invalidated"] += dropped
+                return dropped
             if op == "stats":
-                return store.stats()
+                return {"entries": len(store), "bytes": store.used_bytes,
+                        **counts}
         raise GatewayError(f"unknown cache op {op!r}")
 
     _serve_rpc(_bind_unix(path, backlog=64), handle)

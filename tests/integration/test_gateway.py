@@ -14,9 +14,8 @@ import time
 
 import pytest
 
-from repro.core.gateway import (Gateway, GatewayConfig, _HashRing,
-                                _TierStore)
-from repro.core.cache import CacheEntry
+from repro.core.gateway import Gateway, GatewayConfig, _HashRing
+from repro.core.cache import CacheEntry, DependencyLRU
 from repro.protocol.client import TdClient
 
 SETUP_SQL = """
@@ -203,14 +202,14 @@ class TestSharedCacheTier:
             return CacheEntry(template=None, sql="SELECT 1", notes=(),
                               deps=(table,), overlay_uid=None)
 
-        store = _TierStore(max_bytes=3 * entry("T0").size)
-        for key in range(4):
-            store.put(("k", key), entry(f"T{key}"))
-        assert store.evictions == 1 and store.get(("k", 0)) is None
+        store = DependencyLRU(max_bytes=3 * entry("T0").size)
+        evictions = sum(store.put(("k", key), entry(f"T{key}"))
+                        for key in range(4))
+        assert evictions == 1 and store.get(("k", 0)) is None
         assert store.get(("k", 3)) is not None
         # per-table: only the entry depending on T2 drops
-        assert store.invalidate_tables(("T2",)) == 1
-        assert store.stats()["entries"] == 2
+        assert store.invalidate(("T2",)) == 1
+        assert len(store) == 2
         # wildcard bump clears the rest
-        assert store.invalidate_tables(("*",)) == 2
-        assert store.stats()["entries"] == 0
+        assert store.invalidate(("*",)) == 2
+        assert len(store) == 0

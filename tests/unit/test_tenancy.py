@@ -3,8 +3,7 @@
 Covers quota/config validation (typed errors naming the offending tenant
 and field), LOGON-time resolution, admission (queue depth, token-bucket
 QPS, concurrency slots), per-tenant cache partitioning with reserved-share
-eviction, result-cache TTL + cost admission, report merging across
-workers, and the ``tenancy`` fault site.
+eviction, report merging across workers, and the ``tenancy`` fault site.
 """
 
 from __future__ import annotations
@@ -13,10 +12,11 @@ import json
 
 import pytest
 
-from repro.core.cache import CacheEntry, TranslationCache
+from repro.core.cache import TranslationCache, fingerprint
 from repro.core.faults import QUOTA_EXCEEDED, FaultSchedule, FaultSpec
 from repro.core.result_cache import ResultCache, ResultEntry
 from repro.protocol.encoding import CODE_INTEGER, ColumnMeta
+from repro.frontend.teradata.lexer import make_lexer
 from repro.core.tenancy import (DEFAULT_TENANT, TenancyConfig, TenantQuota,
                                 TenantRegistry, histogram_quantile,
                                 merge_reports, render_tenants, tenant_report)
@@ -35,10 +35,10 @@ class _Clock:
         self.now += seconds
 
 
-def _entry(payload: int = 100, ttl: float = 0.0) -> ResultEntry:
+def _entry(payload: int = 100) -> ResultEntry:
     return ResultEntry(metas=(ColumnMeta("A", CODE_INTEGER),),
                        chunks=(b"x" * payload,), rowcount=1, notes=(),
-                       deps=("T",), vector=(("T", 0, 0),), ttl=ttl)
+                       deps=("T",), vector=(("T", 0, 0),))
 
 
 def _vector(names):
@@ -184,10 +184,12 @@ class TestRegistry:
 class TestCachePartitioning:
     def test_translation_cache_tracks_tenant_bytes(self):
         cache = TranslationCache(64 * 1024, tenant_shares={"a": 0.5})
-        entry = CacheEntry(template=None, sql="SELECT 1", notes=(),
-                           deps=("T",))
-        cache._install(("k1",), entry, tenant="a")
-        assert cache.tenant_bytes()["a"] == entry.size
+        fp = fingerprint("SELECT 1", make_lexer())
+        key_base = TranslationCache.key_base("teradata", "p", fp.text, None)
+        cache.insert(key_base, fp, None, "SELECT 1", (), deps=("T",),
+                     tenant="a")
+        assert cache.tenant_bytes() == {"a": cache.used_bytes}
+        assert cache.used_bytes > 0
 
     def test_result_cache_reserved_share_protects_tenant(self):
         # The cap fits ~6 entries; "a" reserves 40% and sits well below
@@ -215,52 +217,6 @@ class TestCachePartitioning:
             ResultCache(1000, tenant_shares={"a": 0.8, "b": 0.8})
         with pytest.raises(ValueError, match="share"):
             TranslationCache(1000, tenant_shares={"a": 1.2})
-
-
-class TestResultCacheTtlAndAdmission:
-    def test_expired_entry_drops_at_lookup(self):
-        clock = _Clock()
-        cache = ResultCache(10_000, clock=clock, default_ttl=5.0)
-        cache.insert(("k",), _entry())
-        assert cache.lookup(("k",), _vector) is not None
-        clock.advance(6.0)
-        assert cache.lookup(("k",), _vector) is None
-        assert cache.stats().expired == 1
-        assert len(cache) == 0
-
-    def test_entry_ttl_overrides_default(self):
-        clock = _Clock()
-        cache = ResultCache(10_000, clock=clock, default_ttl=100.0)
-        cache.insert(("k",), _entry(ttl=1.0))
-        clock.advance(2.0)
-        assert cache.lookup(("k",), _vector) is None
-
-    def test_zero_ttl_never_expires(self):
-        clock = _Clock()
-        cache = ResultCache(10_000, clock=clock)
-        cache.insert(("k",), _entry())
-        clock.advance(1e9)
-        assert cache.lookup(("k",), _vector) is not None
-
-    def test_admission_rejects_cheap_huge_results(self):
-        # Storing needs backend_ms × repeats ≥ size_mb × 1000; a ~64 KiB
-        # entry therefore needs ≥ ~63 ms of backend time behind it.
-        cache = ResultCache(1 << 20, admission_ms_per_mb=1000.0)
-        assert not cache.insert(("k",), _entry(64 * 1024), backend_ms=1.0)
-        assert cache.stats().admission_rejects == 1
-        assert cache.insert(("k2",), _entry(64 * 1024), backend_ms=100.0)
-
-    def test_admission_learns_expected_repeats_from_misses(self):
-        cache = ResultCache(1 << 20, admission_ms_per_mb=1000.0)
-        # Three misses first: expected_repeats = 3, so 25 ms × 3 clears
-        # the ~63 ms bar that a single observed miss would fail.
-        for _ in range(3):
-            assert cache.lookup(("k",), _vector) is None
-        assert cache.insert(("k",), _entry(64 * 1024), backend_ms=25.0)
-
-    def test_admission_disabled_by_default(self):
-        cache = ResultCache(1 << 20)
-        assert cache.insert(("k",), _entry(64 * 1024), backend_ms=0.0)
 
 
 class TestReports:
