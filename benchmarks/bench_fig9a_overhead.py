@@ -36,4 +36,4 @@ def test_fig9a_sequential_overhead(benchmark, tpch_scale):
     # share is a small fraction (generous bound at laptop scale).
     assert split["execution"] > 0.90
     assert log.overhead_fraction < 0.10
-    assert len(log.requests) == 22
+    assert log.count == 22

@@ -40,329 +40,8 @@ def test_fig9b_concurrent_stress(benchmark, tpch_scale):
         title=f"Figure 9b — {CLIENTS} concurrent clients "
               f"(scale {tpch_scale}, queries {STRESS_QUERIES})"))
 
-    assert len(log.requests) == CLIENTS * len(STRESS_QUERIES)
+    assert log.count == CLIENTS * len(STRESS_QUERIES)
     # The paper's qualitative claim: overhead stays a tiny fraction under
     # concurrency (per-query translation cost is constant while execution
     # time inflates with queueing).
     assert log.overhead_fraction < 0.10
-
-
-# -- wire-path stress harness ---------------------------------------------------------
-#
-# The Section 7.3 setup at protocol level: hundreds of concurrent wire
-# sessions against one worker, run once per wire path (threaded vs async).
-# The server runs in a forked child so its CPU seconds can be read
-# independently of the client threads; clients drain raw frames without
-# decoding rows, so the numbers isolate the server's wire + codec work.
-#
-# Reported per path: interactive p99/mean latency across the connection
-# storm, and bulk-transfer rows/sec per server CPU second (rows/sec/core).
-# On hosts with >= 4 CPUs the async path must not lose on p99 and must win
-# on rows/sec/core; below that the loop and the clients share cores and
-# the comparison is report-only.
-#
-# Standalone: ``python benchmarks/bench_fig9b_stress.py --mode both
-# --smoke --json BENCH_wire.json`` (bench_streaming.py forwards here too).
-
-import argparse
-import json
-import multiprocessing
-import resource
-import socket as socket_mod
-import statistics
-import struct as struct_mod
-import sys
-import threading
-import time
-
-
-def _wire_server_main(conn, wire: str, rows: int,
-                      max_connections: int) -> None:
-    """Child process: one engine + one wire server + a tiny control RPC."""
-    from repro import HyperQ
-    from repro.core.budget import BatchBudget
-    from repro.protocol.aio_server import AioServerThread
-    from repro.protocol.server import ServerThread
-
-    engine = HyperQ(tracing=False,
-                    batch_budget=BatchBudget(batch_rows=512))
-    session = engine.create_session()
-    session.execute("CREATE TABLE BIGSTREAM (N INTEGER, PAD VARCHAR(80))")
-    session.close()
-    engine.backend.catalog.table("BIGSTREAM").insert_rows(
-        [(i, "p" * 40) for i in range(rows)])
-
-    thread_cls = AioServerThread if wire == "async" else ServerThread
-    thread = thread_cls(engine, max_connections=max_connections)
-    host, port = thread.start()
-
-    def cpu_seconds() -> float:
-        usage = resource.getrusage(resource.RUSAGE_SELF)
-        return usage.ru_utime + usage.ru_stime
-
-    conn.send(("ready", host, port))
-    while True:
-        try:
-            message = conn.recv()
-        except EOFError:
-            break
-        if message == "cpu":
-            conn.send(cpu_seconds())
-        elif message == "stop":
-            break
-    thread.stop()
-    conn.close()
-
-
-class WireServerProc:
-    """A wire server in a forked child, with a CPU-seconds probe."""
-
-    def __init__(self, wire: str, rows: int, max_connections: int = 256):
-        ctx = multiprocessing.get_context("fork")
-        self._conn, child = ctx.Pipe()
-        self.process = ctx.Process(
-            target=_wire_server_main,
-            args=(child, wire, rows, max_connections), daemon=True)
-        self.process.start()
-        child.close()
-        tag, host, port = self._conn.recv()
-        assert tag == "ready"
-        self.address = (host, port)
-
-    def cpu_seconds(self) -> float:
-        self._conn.send("cpu")
-        return self._conn.recv()
-
-    def stop(self) -> None:
-        try:
-            self._conn.send("stop")
-        except (BrokenPipeError, OSError):
-            pass
-        self.process.join(timeout=10)
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join(timeout=5)
-        self._conn.close()
-
-
-def _wire_connect(address):
-    from repro.protocol.messages import HEADER, MAGIC, MessageKind
-
-    sock = socket_mod.create_connection(address, timeout=120.0)
-    sock.setsockopt(socket_mod.IPPROTO_TCP, socket_mod.TCP_NODELAY, 1)
-    logon = HEADER.pack(MAGIC, int(MessageKind.LOGON_REQUEST), 7) \
-        + b"dbc\0dbc"
-    sock.sendall(logon)
-    _drain_reply_frames(sock, stop_at_logon=True)
-    return sock
-
-
-def _read_exact(sock, count: int) -> bytes:
-    chunks = []
-    while count:
-        chunk = sock.recv(count)
-        if not chunk:
-            raise ConnectionError("server closed mid-frame")
-        chunks.append(chunk)
-        count -= len(chunk)
-    return b"".join(chunks)
-
-
-def _drain_reply_frames(sock, stop_at_logon: bool = False):
-    """Read frames to the end of one reply; count rows without decoding."""
-    from repro.protocol.messages import HEADER, MAGIC, MessageKind
-
-    rows = 0
-    payload_bytes = 0
-    while True:
-        magic, kind, length = HEADER.unpack(_read_exact(sock, HEADER.size))
-        assert magic == MAGIC
-        payload = _read_exact(sock, length) if length else b""
-        payload_bytes += length
-        if stop_at_logon and kind == int(MessageKind.LOGON_RESPONSE):
-            return 0, 0
-        if kind == int(MessageKind.SUCCESS):
-            (rows,) = struct_mod.unpack(">Q", payload)
-            return rows, payload_bytes
-        if kind == int(MessageKind.FAILURE):
-            raise RuntimeError(payload.decode("utf-8", "replace"))
-
-
-def _run_query_raw(sock, sql: str):
-    from repro.protocol.messages import HEADER, MAGIC, MessageKind
-
-    data = sql.encode("utf-8")
-    sock.sendall(HEADER.pack(MAGIC, int(MessageKind.RUN_QUERY), len(data))
-                 + data)
-    return _drain_reply_frames(sock)
-
-
-def _interactive_leg(address, clients: int, per_client: int):
-    """The connection storm: every client holds a live session and fires
-    small point queries; per-request wall latencies across the fleet."""
-    latencies: list[float] = []
-    lock = threading.Lock()
-    barrier = threading.Barrier(clients)
-    errors: list[BaseException] = []
-
-    def worker():
-        try:
-            sock = _wire_connect(address)
-            try:
-                barrier.wait(timeout=120.0)
-                mine = []
-                for __ in range(per_client):
-                    begin = time.perf_counter()
-                    _run_query_raw(sock, "SEL N FROM BIGSTREAM WHERE N = 42")
-                    mine.append(time.perf_counter() - begin)
-                with lock:
-                    latencies.extend(mine)
-            finally:
-                sock.close()
-        except BaseException as error:  # noqa: BLE001 — surfaced below
-            with lock:
-                errors.append(error)
-
-    threads = [threading.Thread(target=worker, daemon=True)
-               for __ in range(clients)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=300.0)
-    if errors:
-        raise RuntimeError(f"{len(errors)} stress clients failed: "
-                           f"{errors[0]!r}")
-    return latencies
-
-
-def _bulk_leg(address, streams: int):
-    """Bulk transfer: N clients each drain a full scan, raw frames only."""
-    totals = {"rows": 0, "bytes": 0}
-    lock = threading.Lock()
-    errors: list[BaseException] = []
-
-    def worker():
-        try:
-            sock = _wire_connect(address)
-            try:
-                rows, payload_bytes = _run_query_raw(
-                    sock, "SEL N, PAD FROM BIGSTREAM")
-                with lock:
-                    totals["rows"] += rows
-                    totals["bytes"] += payload_bytes
-            finally:
-                sock.close()
-        except BaseException as error:  # noqa: BLE001
-            with lock:
-                errors.append(error)
-
-    begin = time.perf_counter()
-    threads = [threading.Thread(target=worker, daemon=True)
-               for __ in range(streams)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=600.0)
-    wall = time.perf_counter() - begin
-    if errors:
-        raise RuntimeError(f"{len(errors)} bulk clients failed: "
-                           f"{errors[0]!r}")
-    return totals["rows"], totals["bytes"], wall
-
-
-def _p99(samples):
-    ordered = sorted(samples)
-    return ordered[min(len(ordered) - 1, int(0.99 * len(ordered)))]
-
-
-def run_wire_stress(wire: str, smoke: bool = False) -> dict:
-    """One full stress run (interactive + bulk legs) against one path."""
-    clients = 20 if smoke else 200
-    per_client = 3 if smoke else 5
-    streams = 2 if smoke else 8
-    rows = 5_000 if smoke else 60_000
-
-    server = WireServerProc(wire, rows, max_connections=max(256, clients))
-    try:
-        latencies = _interactive_leg(server.address, clients, per_client)
-        cpu_before = server.cpu_seconds()
-        bulk_rows, bulk_bytes, bulk_wall = _bulk_leg(server.address, streams)
-        cpu_bulk = max(1e-9, server.cpu_seconds() - cpu_before)
-    finally:
-        server.stop()
-
-    return {
-        "wire": wire,
-        "clients": clients,
-        "requests": len(latencies),
-        "p99_ms": _p99(latencies) * 1e3,
-        "mean_ms": statistics.fmean(latencies) * 1e3,
-        "bulk_rows": bulk_rows,
-        "bulk_mib": bulk_bytes / (1024 * 1024),
-        "bulk_wall_s": bulk_wall,
-        "bulk_server_cpu_s": cpu_bulk,
-        "rows_per_sec_per_core": bulk_rows / cpu_bulk,
-    }
-
-
-def wire_stress_main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        description="wire-path stress: threaded vs async, "
-                    "p99 + rows/sec/core")
-    parser.add_argument("--mode", choices=("threaded", "async", "both"),
-                        default="both")
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-sized run (20 connections instead of 200)")
-    parser.add_argument("--json", default=None, metavar="PATH",
-                        help="write results as JSON")
-    args = parser.parse_args(argv)
-
-    modes = ("threaded", "async") if args.mode == "both" else (args.mode,)
-    import os
-    results = {}
-    for wire in modes:
-        print(f"running {wire} wire stress "
-              f"({'smoke' if args.smoke else 'full'})...", flush=True)
-        results[wire] = run_wire_stress(wire, smoke=args.smoke)
-
-    header = (f"{'path':<10} {'p99 ms':>9} {'mean ms':>9} "
-              f"{'bulk rows':>10} {'rows/s/core':>12}")
-    print()
-    print(header)
-    print("-" * len(header))
-    for wire, stats in results.items():
-        print(f"{wire:<10} {stats['p99_ms']:>9.2f} {stats['mean_ms']:>9.2f} "
-              f"{stats['bulk_rows']:>10} "
-              f"{stats['rows_per_sec_per_core']:>12.0f}")
-
-    cpus = os.cpu_count() or 1
-    payload = {"cpus": cpus, "smoke": args.smoke, "results": results,
-               "asserted": False}
-    status = 0
-    if args.mode == "both" and cpus >= 4:
-        # Only meaningful when the event loop, the executor, and the
-        # clients get their own cores; on smaller hosts it is report-only.
-        payload["asserted"] = True
-        threaded, asyncio_ = results["threaded"], results["async"]
-        if asyncio_["p99_ms"] > threaded["p99_ms"]:
-            print(f"FAIL: async p99 {asyncio_['p99_ms']:.2f}ms > "
-                  f"threaded {threaded['p99_ms']:.2f}ms")
-            status = 1
-        ratio = (asyncio_["rows_per_sec_per_core"]
-                 / max(1e-9, threaded["rows_per_sec_per_core"]))
-        if ratio < 1.5:
-            print(f"FAIL: async bulk rows/sec/core only {ratio:.2f}x "
-                  f"threaded (need >= 1.5x)")
-            status = 1
-    elif args.mode == "both":
-        print(f"(assertions skipped: {cpus} CPUs < 4 — report only)")
-
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2)
-        print(f"wrote {args.json}")
-    return status
-
-
-if __name__ == "__main__":
-    sys.exit(wire_stress_main())

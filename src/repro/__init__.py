@@ -71,7 +71,6 @@ __all__ = [
 
 def virtualize(target: str = "hyperion",
                tracker: FeatureTracker | None = None,
-               converter_parallelism: int = 1,
                cache_size: int = 32 * 1024 * 1024) -> HyperQ:
     """Create a Hyper-Q engine virtualizing Teradata onto *target*.
 
@@ -80,6 +79,4 @@ def virtualize(target: str = "hyperion",
     bundled executing in-memory cloud data warehouse. ``cache_size`` caps
     the shared translation cache in bytes (0 disables it).
     """
-    return HyperQ(target=target, tracker=tracker,
-                  converter_parallelism=converter_parallelism,
-                  cache_size=cache_size)
+    return HyperQ(target=target, tracker=tracker, cache_size=cache_size)

@@ -72,19 +72,20 @@ def run_workload_study(profile: customer.CustomerProfile) -> WorkloadStudyResult
 # ---------------------------------------------------------------------------
 
 def prepare_tpch_engine(scale: float = 0.001, seed: int = 20180610,
-                        converter_parallelism: int = 1,
                         batch_budget=None) -> HyperQ:
     """An engine with the TPC-H schema created through Hyper-Q and data
     loaded into the backing warehouse. *batch_budget* bounds the streaming
     result pipeline (rows per batch, per-layer memory ceiling)."""
-    engine = HyperQ(converter_parallelism=converter_parallelism,
-                    batch_budget=batch_budget)
+    engine = HyperQ(batch_budget=batch_budget)
+    # Loading is not part of the measured workload: it records into a
+    # detached log, and the engine's own log (which feeds the metrics
+    # registry) starts empty.
+    measured, engine.timing_log = engine.timing_log, TimingLog()
     session = engine.create_session()
     for table in TABLE_NAMES:
         session.execute(SCHEMA_DDL[table].strip())
     datagen.load_direct(engine.backend, scale=scale, seed=seed)
-    # Loading is not part of the measured workload.
-    engine.timing_log = TimingLog()
+    engine.timing_log = measured
     return engine
 
 

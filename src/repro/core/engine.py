@@ -34,7 +34,7 @@ from repro.core.catalog import MacroDef, ProcedureDef, SessionCatalog, ShadowCat
 from repro.core.faults import ResilienceStats, RetryPolicy
 from repro.core.result_cache import ResultCache, ResultEntry
 from repro.core.timing import RequestTiming, TimingLog
-from repro.core.trace import MetricsRegistry, TraceHub, render_trace
+from repro.core.trace import TraceHub, render_trace
 from repro.core.tracker import FeatureTracker
 from repro.frontend.teradata import ast as td_ast
 from repro.frontend.teradata.binder import Binder
@@ -118,11 +118,8 @@ class HyperQ:
     def __init__(self, backend: Optional[Database] = None,
                  target: CapabilityProfile | str = HYPERION,
                  tracker: Optional[FeatureTracker] = None,
-                 converter_parallelism: int = 1,
-                 transformer_fixpoint: bool = True,
                  dml_batching: bool = False,
                  source: str = "teradata",
-                 converter_max_memory: int = 64 * 1024 * 1024,
                  spill_dir: Optional[str] = None,
                  cache_size: int = 32 * 1024 * 1024,
                  faults=None,
@@ -134,8 +131,6 @@ class HyperQ:
                  trace_ring: int = 256,
                  trace_log: Optional[str] = None,
                  slow_query_log: Optional[str] = None,
-                 slow_thresholds: Optional[dict[str, float]] = None,
-                 metrics: Optional[MetricsRegistry] = None,
                  cache_tier=None,
                  worker_index: Optional[int] = None,
                  fleet_size: int = 1,
@@ -167,11 +162,8 @@ class HyperQ:
         self.resilience = ResilienceStats()
         #: Per-request stream bounds: rows per batch between layers, and the
         #: buffering memory ceiling before a layer spills to disk (§4.5/4.6).
-        #: An explicit budget overrides ``converter_max_memory``.
         if batch_budget is None:
-            batch_budget = BatchBudget(max_memory_bytes=converter_max_memory)
-        else:
-            converter_max_memory = batch_budget.max_memory_bytes
+            batch_budget = BatchBudget()
         self.batch_budget = batch_budget
         self.backend = (backend if backend is not None
                         else Database(target, faults=faults, replica=replica,
@@ -180,12 +172,10 @@ class HyperQ:
         self.tracker = tracker
         #: The observability layer: request traces, metric registry, sinks
         #: (ring buffer, JSONL log, slow-query log). ``tracing=False`` keeps
-        #: the registry but records no spans (the overhead-bench baseline).
+        #: the registry but records no spans (``serve --no-trace``).
         self.tracing = TraceHub(enabled=tracing, ring_size=trace_ring,
                                 trace_log=trace_log,
                                 slow_query_log=slow_query_log,
-                                slow_thresholds=slow_thresholds,
-                                metrics=metrics,
                                 id_offset=worker_index or 0,
                                 id_stride=max(1, fleet_size))
         if tracker is not None and tracker.metrics is None:
@@ -235,13 +225,9 @@ class HyperQ:
                         "hyperq_result_cache_invalidations_total").inc(dropped)
 
             self.shadow.subscribe_data(_on_data_change)
-        self.converter_parallelism = converter_parallelism
-        self.transformer_fixpoint = transformer_fixpoint
         #: Section 4.3's performance transformation: merge contiguous
         #: single-row VALUES inserts in execute_script into one statement.
         self.dml_batching = dml_batching
-        #: Result Converter buffering budget before spilling to disk (§4.6).
-        self.converter_max_memory = converter_max_memory
         self.spill_dir = spill_dir
         self._session_lock = threading.Lock()
         self._open_sessions = 0
@@ -337,8 +323,7 @@ class HyperQSession:
             rules = [rule for rule in default_rules()
                      if not isinstance(rule, NullOrderingRule)]
         self.transformer = Transformer(engine.profile, engine.tracker,
-                                       rules=rules,
-                                       fixpoint=engine.transformer_fixpoint)
+                                       rules=rules)
         self.serializer = serializer_for(engine.profile, engine.tracker)
         self.odbc = OdbcServer(InProcessDriver(engine.backend),
                                batch_rows=engine.batch_budget.batch_rows,
@@ -347,8 +332,7 @@ class HyperQSession:
                                retry=engine.retry,
                                observer=self._resilience_event)
         self.converter = ResultConverter(
-            parallelism=engine.converter_parallelism,
-            max_memory_bytes=engine.converter_max_memory,
+            max_memory_bytes=engine.batch_budget.max_memory_bytes,
             spill_dir=engine.spill_dir)
         self.ansi_frontend = None
         if engine.source == "ansi":
@@ -658,7 +642,6 @@ class HyperQSession:
 
     def close(self) -> None:
         self.odbc.close()
-        self.converter.close()
         if not self._closed:
             self._closed = True
             self.engine._session_closed()
@@ -1022,8 +1005,7 @@ class HyperQSession:
             self._probe_stack = (
                 TeradataParser(),
                 Binder(self.catalog),
-                Transformer(self.engine.profile,
-                            fixpoint=self.engine.transformer_fixpoint),
+                Transformer(self.engine.profile),
                 serializer_for(self.engine.profile),
             )
         return self._probe_stack

@@ -357,6 +357,12 @@ class _HashRing:
 
 # -- configuration --------------------------------------------------------------------
 
+#: Seconds the supervisor waits for a spawned worker or the cache service to
+#: come up.
+_START_TIMEOUT = 30.0
+#: Seconds an accepted connection may wait for a live worker to take it.
+_ROUTE_TIMEOUT = 5.0
+
 
 @dataclass(frozen=True)
 class GatewayConfig:
@@ -380,14 +386,13 @@ class GatewayConfig:
     target: str = "hyperion"
     source: str = "teradata"
     cache_size: int = 32 * 1024 * 1024
-    shared_cache: bool = True
+    #: Byte cap of the fleet's shared translation-cache tier (0 disables).
     shared_cache_bytes: int = 32 * 1024 * 1024
     #: Per-worker semantic result cache (0 disables). Kept per worker —
     #: results are large and replaying them through a shared-tier RPC
     #: would cost more than re-executing most statements.
     result_cache_bytes: int = 0
     setup_sql: str = ""
-    request_timeout: Optional[float] = None
     max_connections: int = 64
     workload: Optional[object] = None  # WorkloadConfig
     #: Multi-tenant control plane (a ``TenancyConfig``): split per worker
@@ -396,10 +401,7 @@ class GatewayConfig:
     tenancy: Optional[object] = None  # TenancyConfig
     tracing: bool = True
     fault_specs: tuple[FaultSpec, ...] = ()
-    fault_seed: int = 0
     supervision_interval: float = 0.2
-    route_timeout: float = 5.0
-    start_timeout: float = 30.0
     engine_options: dict = field(default_factory=dict)
     #: Wire path each worker serves its sessions on: ``"threaded"`` (one
     #: connection-pool thread per session) or ``"async"`` (all of a
@@ -473,8 +475,8 @@ def _worker_main(config: GatewayConfig, index: int, generation: int,
     from repro.protocol.server import HyperQServer
 
     tier = CacheServiceClient(_cache_path(run_dir)) \
-        if config.shared_cache else None
-    faults = FaultSchedule(config.fault_seed, list(config.fault_specs),
+        if config.shared_cache_bytes > 0 else None
+    faults = FaultSchedule(0, list(config.fault_specs),
                            name="gateway") if config.fault_specs else None
     tenancy = None
     if config.tenancy is not None:
@@ -501,15 +503,13 @@ def _worker_main(config: GatewayConfig, index: int, generation: int,
     if config.wire == "async":
         from repro.protocol.aio_server import AioHyperQServer
         server = AioHyperQServer(
-            engine, request_timeout=config.request_timeout,
-            max_connections=worker_cap, bind=False)
+            engine, max_connections=worker_cap, bind=False)
         # Unbound: the event loop only serves sockets handed over through
         # process_request(), but it must be running before the first one.
         server.start()
     else:
         server = HyperQServer(
-            engine, request_timeout=config.request_timeout,
-            max_connections=worker_cap, bind=False)
+            engine, max_connections=worker_cap, bind=False)
 
     stop = threading.Event()
     draining = threading.Event()
@@ -686,7 +686,7 @@ class Gateway:
     def start(self) -> tuple[str, int]:
         config = self.config
         self._run_dir = tempfile.mkdtemp(prefix="hq-gateway-")
-        if config.shared_cache:
+        if config.shared_cache_bytes > 0:
             path = _cache_path(self._run_dir)
             self._cache_process = self._mp.Process(
                 target=_cache_service_main,
@@ -695,7 +695,7 @@ class Gateway:
                 name="hq-gw-cache", daemon=True)
             self._cache_process.start()
             self._cache_client = _RpcClient(path, timeout=5.0)
-            self._cache_client.wait_ready(config.start_timeout)
+            self._cache_client.wait_ready(_START_TIMEOUT)
         self._fleet_listener = _bind_unix(_fleet_path(self._run_dir),
                                           backlog=config.workers + 4)
         threading.Thread(target=_serve_rpc,
@@ -864,11 +864,11 @@ class Gateway:
         process.start()
         handoff = _connect_unix_retry(
             _handoff_path(self._run_dir, index, generation),
-            timeout=config.start_timeout)
+            timeout=_START_TIMEOUT)
         control = _RpcClient(
             _control_path(self._run_dir, index, generation), timeout=10.0)
         try:
-            control.wait_ready(config.start_timeout)
+            control.wait_ready(_START_TIMEOUT)
         except GatewayError:
             handoff.close()
             process.terminate()
@@ -942,7 +942,7 @@ class Gateway:
         broken handoff the worker is marked dead (waking the monitor) and
         the session re-routes to the next live node."""
         key = f"{addr[0]}:{addr[1]}"
-        deadline = time.monotonic() + self.config.route_timeout
+        deadline = time.monotonic() + _ROUTE_TIMEOUT
         try:
             while not self._stopping.is_set() \
                     and time.monotonic() < deadline:

@@ -23,7 +23,11 @@ point-in-time mark, not an accumulating stage — it overlaps translation and
 execution — so it is reported separately and never folded into ``total``.
 
 :class:`RequestTiming` collects these for one request; :class:`TimingLog`
-aggregates them across a workload run. A log constructed with a
+keeps running sums across a workload run (constant size, however long the
+engine lives). A request's stage time that lands after it was recorded —
+result conversion runs as the client pulls the stream — still reaches the
+sums, because a recorded timing forwards later increments to its log. A
+log constructed with a
 :class:`~repro.core.trace.MetricsRegistry` additionally feeds per-stage
 latency histograms (``hyperq_stage_seconds_<stage>``) and the request
 counter on every record, so the Figure 9 instrumentation and the
@@ -32,6 +36,7 @@ observability layer read from one stream.
 
 from __future__ import annotations
 
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -61,6 +66,9 @@ class RequestTiming:
     first_row: float = 0.0
     started: float = field(default_factory=time.perf_counter, repr=False,
                            compare=False)
+    #: The log this timing was recorded into, if any.
+    _log: Optional["TimingLog"] = field(default=None, init=False, repr=False,
+                                        compare=False)
 
     @property
     def total(self) -> float:
@@ -87,26 +95,64 @@ class RequestTiming:
         try:
             yield
         finally:
-            elapsed = time.perf_counter() - start
-            setattr(self, stage, getattr(self, stage) + elapsed)
+            self.add(stage, time.perf_counter() - start)
+
+    def add(self, stage: str, seconds: float) -> None:
+        """Accumulate *seconds* into *stage* (and into the log, if this
+        timing was already recorded)."""
+        setattr(self, stage, getattr(self, stage) + seconds)
+        if self._log is not None:
+            self._log.add(stage, seconds)
 
     def mark_first_row(self) -> None:
         """Record time-to-first-row once; later calls are no-ops."""
         if not self.first_row:
             self.first_row = time.perf_counter() - self.started
+            if self._log is not None:
+                self._log.add_first_row(self.first_row)
 
 
-@dataclass
 class TimingLog:
-    """Aggregated timings across many requests (Figure 9 series)."""
+    """Running per-stage sums across many requests (Figure 9 series).
 
-    requests: list[RequestTiming] = field(default_factory=list)
-    #: Optional :class:`~repro.core.trace.MetricsRegistry` mirrored into on
-    #: every :meth:`record` (typed loosely to keep this module import-light).
-    metrics: Optional[object] = field(default=None, repr=False, compare=False)
+    *metrics*, an optional :class:`~repro.core.trace.MetricsRegistry`, is
+    mirrored into on every :meth:`record` (typed loosely to keep this
+    module import-light).
+    """
+
+    def __init__(self, metrics: Optional[object] = None):
+        self.metrics = metrics
+        #: Requests recorded.
+        self.count = 0
+        self.translation = 0.0
+        self.execution = 0.0
+        self.result_conversion = 0.0
+        self.cache_lookup = 0.0
+        self.dependency_extract = 0.0
+        self.queue_wait = 0.0
+        self._first_row_sum = 0.0
+        self._first_row_count = 0
+        self._lock = threading.Lock()
+
+    def add(self, stage: str, seconds: float) -> None:
+        """Add stage time that a recorded request spent after recording."""
+        with self._lock:
+            setattr(self, stage, getattr(self, stage) + seconds)
+
+    def add_first_row(self, seconds: float) -> None:
+        with self._lock:
+            self._first_row_sum += seconds
+            self._first_row_count += 1
 
     def record(self, timing: RequestTiming) -> None:
-        self.requests.append(timing)
+        with self._lock:
+            self.count += 1
+            for stage in STAGES:
+                setattr(self, stage,
+                        getattr(self, stage) + getattr(timing, stage))
+        if timing.first_row:
+            self.add_first_row(timing.first_row)
+        timing._log = self
         registry = self.metrics
         if registry is None:
             return
@@ -122,34 +168,11 @@ class TimingLog:
                 timing.first_row)
 
     @property
-    def translation(self) -> float:
-        return sum(t.translation for t in self.requests)
-
-    @property
-    def execution(self) -> float:
-        return sum(t.execution for t in self.requests)
-
-    @property
-    def result_conversion(self) -> float:
-        return sum(t.result_conversion for t in self.requests)
-
-    @property
-    def cache_lookup(self) -> float:
-        return sum(t.cache_lookup for t in self.requests)
-
-    @property
-    def dependency_extract(self) -> float:
-        return sum(t.dependency_extract for t in self.requests)
-
-    @property
-    def queue_wait(self) -> float:
-        return sum(t.queue_wait for t in self.requests)
-
-    @property
     def mean_first_row(self) -> float:
         """Mean time-to-first-row across requests that produced rows."""
-        marked = [t.first_row for t in self.requests if t.first_row]
-        return sum(marked) / len(marked) if marked else 0.0
+        if not self._first_row_count:
+            return 0.0
+        return self._first_row_sum / self._first_row_count
 
     @property
     def total(self) -> float:

@@ -25,11 +25,12 @@ process):
 * a **text metrics dump** via ``SHOW HYPERQ METRICS`` and the CLI.
 
 Context propagation uses a :mod:`contextvars` variable holding the active
-span. Worker threads (the workload manager's pool, converter encode workers)
-start with an empty context; callers hand the active span across explicitly
-with :func:`activate`. When no trace is active every instrumentation point
+span. Worker threads (the workload manager's pool) start with an empty
+context; callers hand the active span across explicitly with
+:func:`activate`. When no trace is active every instrumentation point
 degrades to a cheap no-op, which is what keeps the warm-cache hot path
-within the ~5% overhead budget (``benchmarks/bench_trace_overhead.py``).
+within the ~5% overhead budget (the perf ledger's
+``bench.trace_overhead_share``).
 """
 
 from __future__ import annotations

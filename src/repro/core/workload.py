@@ -1060,7 +1060,7 @@ class WorkloadManager:
             self.stats.observe_run(wl_class, run_time)
             timing = getattr(result, "timing", None)
             if timing is not None and hasattr(timing, "queue_wait"):
-                timing.queue_wait += wait
+                timing.add("queue_wait", wait)
             self._feedback(request, run_time)
             if not request.future.done():
                 request.future.set_result(result)

@@ -3,10 +3,9 @@
 Takes the row batches coming out of the ODBC Server and encodes each one
 straight into the source database's binary record format with one compiled
 :class:`~repro.protocol.encoding.RowCodec` per result
-(:meth:`ResultConverter.encode_stream`), optionally in parallel across
-batches, and either streams the converted chunks or buffers them in a
-:class:`~repro.results.store.ResultStore` when the source protocol needs the
-full count up front. Every batch passes :func:`repro.tdf.conform_batch`, so
+(:meth:`ResultConverter.encode_stream`), and either streams the converted
+chunks or buffers them in a :class:`~repro.results.store.ResultStore` when
+the source protocol needs the full count up front. Every batch passes :func:`repro.tdf.conform_batch`, so
 the bytes equal those of a TDF round trip without paying for one;
 :meth:`~ResultConverter.convert_stream` and :meth:`~ResultConverter.convert`
 are the adapters for callers that hold TDF packets.
@@ -14,8 +13,6 @@ are the adapters for callers that hold TDF packets.
 
 from __future__ import annotations
 
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
@@ -162,25 +159,15 @@ class StreamingResult:
 
 
 class ResultConverter:
-    """Converts backend row batches into source-format chunks.
-
-    ``parallelism > 1`` converts batches concurrently (the paper forks
-    conversion processes; threads suffice at reproduction scale because the
-    hot loop is struct packing). The worker pool is created once and lives
-    for the converter's lifetime — per-call pool construction would eat the
-    parallel speedup on streaming workloads — so callers owning a converter
-    should :meth:`close` it (sessions do this on close).
+    """Converts backend row batches into source-format chunks, one batch at
+    a time on the consumer's thread. (The paper forks conversion processes;
+    threads only add a hand-off here, because the GIL serializes the codec.)
     """
 
-    def __init__(self, parallelism: int = 1,
-                 buffer_all: bool = True,
-                 max_memory_bytes: int = 64 * 1024 * 1024,
+    def __init__(self, max_memory_bytes: int = 64 * 1024 * 1024,
                  spill_dir: Optional[str] = None):
-        self._parallelism = max(1, parallelism)
-        self._buffer_all = buffer_all
         self._max_memory = max_memory_bytes
         self._spill_dir = spill_dir
-        self._pool: Optional[ThreadPoolExecutor] = None
 
     def set_max_memory(self, max_memory_bytes: int) -> None:
         """Adjust the buffering ceiling for subsequent conversions
@@ -188,25 +175,6 @@ class ResultConverter:
         if max_memory_bytes < 0:
             raise ValueError("max_memory_bytes cannot be negative")
         self._max_memory = max_memory_bytes
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self._parallelism,
-                thread_name_prefix="result-converter")
-        return self._pool
-
-    def close(self) -> None:
-        """Shut down the worker pool (idempotent; pool rebuilds on reuse)."""
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    def __enter__(self) -> "ResultConverter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def encode_stream(self, columns: list[str],
                       row_batches: Iterable[list[tuple]],
@@ -224,12 +192,9 @@ class ResultConverter:
         malformed result fail at convert time). Each batch passes
         :func:`repro.tdf.conform_batch` and one compiled codec per stream
         encodes it; that time is accumulated into the ``result_conversion``
-        stage of *timing* as the stream is consumed. With
-        ``parallelism > 1`` the converter keeps up to that many encodes in
-        flight ahead of the consumer — the paper's parallel conversion,
-        still bounded. *tee*, given the metas and the ``(chunk, rows)``
-        stream, returns the stream the result will consume (the result
-        cache captures chunks this way).
+        stage of *timing* as the stream is consumed. *tee*, given the metas
+        and the ``(chunk, rows)`` stream, returns the stream the result will
+        consume (the result cache captures chunks this way).
         """
         def measure():
             return (timing.measure("result_conversion")
@@ -254,24 +219,11 @@ class ResultConverter:
                 yield rows
 
         def chunk_source() -> Iterator[tuple[bytes, int]]:
-            if self._parallelism > 1:
-                pool = self._ensure_pool()
-                in_flight: deque = deque()
-                for rows in conformed():
-                    in_flight.append(
-                        (pool.submit(codec.encode, rows), len(rows)))
-                    while len(in_flight) > self._parallelism:
-                        future, nrows = in_flight.popleft()
-                        yield future.result(), nrows
-                while in_flight:
-                    future, nrows = in_flight.popleft()
-                    yield future.result(), nrows
-            else:
-                encode = codec.encode
-                for rows in conformed():
-                    with measure():
-                        chunk = encode(rows)
-                    yield chunk, len(rows)
+            encode = codec.encode
+            for rows in conformed():
+                with measure():
+                    chunk = encode(rows)
+                yield chunk, len(rows)
 
         def traced_source() -> Iterator[tuple[bytes, int]]:
             # One span covers the whole lazy conversion, opened at first
@@ -303,15 +255,11 @@ class ResultConverter:
                declared_types: Optional[list[SQLType]] = None,
                ) -> ConvertedResult:
         """:meth:`encode_stream`, drained into a :class:`ConvertedResult`
-        (into a bounded store unless the converter keeps plain chunks)."""
+        backed by a bounded store."""
         stream = self.encode_stream(columns, row_batches, declared_types)
-        if self._buffer_all:
-            store = stream.buffer()
-            return ConvertedResult(metas=stream.metas,
-                                   rowcount=stream.rowcount, store=store)
-        chunks = list(stream.iter_chunks())
-        return ConvertedResult(metas=stream.metas, chunks=chunks,
-                               rowcount=stream.rowcount)
+        store = stream.buffer()
+        return ConvertedResult(metas=stream.metas, rowcount=stream.rowcount,
+                               store=store)
 
     def convert_stream(self, batches: Iterable[bytes],
                        declared_types: Optional[list[SQLType]] = None,

@@ -115,8 +115,9 @@ HYPERION = CapabilityProfile(
     limit_syntax=LimitSyntax.LIMIT,
 )
 
-#: Variant of the executing backend with more native features enabled, used
-#: by ablation benchmarks to measure how much work the Transformer saves.
+#: Variant of the executing backend with more native features enabled: the
+#: conformance matrix and the golden corpus run it as the dialect where
+#: MERGE, recursion, grouping extensions and vector subqueries go native.
 HYPERION_PLUS = CapabilityProfile(
     name="hyperion_plus",
     ordinal_group_by=False,

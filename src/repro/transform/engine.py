@@ -95,13 +95,11 @@ class Transformer:
 
     def __init__(self, profile: CapabilityProfile,
                  tracker: Optional[FeatureTracker] = None,
-                 rules: Optional[list[Rule]] = None,
-                 fixpoint: bool = True):
+                 rules: Optional[list[Rule]] = None):
         self._profile = profile
         self._tracker = tracker
         self._all_rules = rules if rules is not None else default_rules()
         self._rules = [rule for rule in self._all_rules if rule.applies(profile)]
-        self._fixpoint = fixpoint
 
     @property
     def active_rules(self) -> list[Rule]:
@@ -151,5 +149,5 @@ class Transformer:
                         f"rule:{rule_name}", pass_start, pass_end,
                         before=before_digest, after=after_digest,
                         transform_pass=passes)
-            if not ctx.changed or not self._fixpoint:
+            if not ctx.changed:
                 return statement

@@ -1,11 +1,16 @@
 """Integration tests for the translation cache wired through the engine:
 catalog-versioned invalidation, per-session volatile overlays, tracker
-replay, cross-session sharing, and cache-off equivalence on TPC-H."""
+replay, cross-session sharing, workload replay hit rates, and cache-off
+equivalence on TPC-H."""
+
+import threading
 
 import pytest
 
 from repro.core.engine import HyperQ
 from repro.core.tracker import FeatureTracker
+from repro.errors import HyperQError
+from repro.workloads import customer
 from repro.workloads.tpch import queries as tpch_queries
 from repro.workloads.tpch import schema as tpch_schema
 
@@ -177,6 +182,57 @@ class TestTrackerReplay:
         tracker = engine.tracker
         assert tracker.feature_query_counts["qualify"] == 3
         assert tracker.feature_query_counts["sel_shortcut"] == 3
+
+
+class TestWorkloadReplay:
+    def test_customer1_replay_hit_rate(self):
+        """Every Customer 1 submission (Table 1: 39,731 over 3,778
+        distinct texts) replayed through translate: >= 80% are hits."""
+        profile = customer.PROFILES[1]
+        schema, setup, distinct, freqs = customer.workload(profile)
+        engine = HyperQ()
+        session = engine.create_session()
+        for ddl in schema + setup:
+            session.execute(ddl)
+        for sql, count in zip(distinct, freqs):
+            for __ in range(count):
+                try:
+                    session.translate(sql)
+                except HyperQError:
+                    pass  # emulation-boundary errors count as bypasses
+        replay = stats(engine)
+        assert replay.hits + replay.misses + replay.bypasses \
+            >= profile.total_queries
+        assert replay.hit_rate >= 0.80
+
+    def test_concurrent_sessions_share_one_cache(self):
+        """Eight sessions translating TPC-H at once share one cache. A cold
+        miss is not single-flight, so how many sessions miss the same query
+        depends on the interleaving; what holds is that no count is lost,
+        each query misses at least once, and afterwards every query hits."""
+        engine = HyperQ()
+        setup = engine.create_session()
+        for name in tpch_schema.TABLE_NAMES:
+            setup.execute(tpch_schema.SCHEMA_DDL[name])
+        clients = 8
+
+        def worker():
+            session = engine.create_session()
+            for sql in tpch_queries.QUERIES.values():
+                session.translate(sql)
+
+        threads = [threading.Thread(target=worker) for __ in range(clients)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        shared = stats(engine)
+        assert shared.hits + shared.misses \
+            == clients * len(tpch_queries.QUERIES)
+        assert shared.misses >= len(tpch_queries.QUERIES)
+        worker()
+        assert stats(engine).misses == shared.misses
 
 
 class TestCacheDisabled:

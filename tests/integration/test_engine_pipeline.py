@@ -2,10 +2,13 @@
 fidelity, timing instrumentation, multi-target translation, transactions."""
 
 import datetime
+import tracemalloc
 
 import pytest
 
 from repro import virtualize
+from repro.core import timing as timing_mod
+from repro.core.budget import BatchBudget
 from repro.core.engine import HyperQ
 from repro.protocol.encoding import CODE_DATE
 from repro.transform.capabilities import HYPERION_PLUS, cloud_profiles
@@ -34,6 +37,23 @@ class TestDataPath:
         assert timing.translation > 0
         assert timing.execution > 0
         assert timing.result_conversion > 0
+
+    def test_timing_log_does_not_grow_per_statement(self):
+        """A long-running engine's timing log keeps sums and counts, not
+        one record per statement."""
+        engine = HyperQ(tracing=False)
+        session = engine.create_session()
+        tracemalloc.start()
+        try:
+            for __ in range(5000):
+                session.execute("BT").close()
+            snapshot = tracemalloc.take_snapshot().filter_traces(
+                [tracemalloc.Filter(True, timing_mod.__file__)])
+        finally:
+            tracemalloc.stop()
+        assert sum(stat.size
+                   for stat in snapshot.statistics("filename")) < 1024
+        assert engine.timing_log.count == 5000
 
     def test_target_sql_recorded(self, sales_session):
         result = sales_session.execute("SEL STORE FROM SALES")
@@ -166,7 +186,8 @@ class TestSpillThroughFullPipeline:
     Result Converter spills to disk and replays for the wire."""
 
     def test_large_result_spills_and_replays(self, tmp_path):
-        engine = HyperQ(converter_max_memory=2048, spill_dir=str(tmp_path))
+        engine = HyperQ(batch_budget=BatchBudget(max_memory_bytes=2048),
+                        spill_dir=str(tmp_path))
         session = engine.create_session()
         session.execute("CREATE TABLE BIGR (N INTEGER, PAD VARCHAR(80))")
         values = ", ".join(f"({i}, '{'y' * 70}')" for i in range(1500))
@@ -182,8 +203,9 @@ class TestSpillThroughFullPipeline:
         assert not any(tmp_path.iterdir())  # spill file cleaned up
 
     def test_small_results_stay_in_memory(self, tmp_path):
-        engine = HyperQ(converter_max_memory=1024 * 1024,
-                        spill_dir=str(tmp_path))
+        engine = HyperQ(
+            batch_budget=BatchBudget(max_memory_bytes=1024 * 1024),
+            spill_dir=str(tmp_path))
         session = engine.create_session()
         session.execute("CREATE TABLE SMALLR (N INTEGER)")
         session.execute("INSERT INTO SMALLR VALUES (1), (2)")

@@ -169,6 +169,17 @@ class TestOverheadShape:
         assert log.total > 0
         assert log.overhead_fraction < 0.30
 
+    def test_prepared_engine_keeps_feeding_its_metrics(self):
+        """Loading is excluded from the timing log without detaching the
+        log from the engine's metrics registry."""
+        engine = prepare_tpch_engine(scale=0.0002, seed=SEED)
+        engine.create_session().execute(queries.query(6)).close()
+        metrics = engine.tracing.metrics
+        assert metrics.counter("hyperq_timed_requests_total").value == 1
+        assert metrics.histogram(
+            "hyperq_stage_seconds_execution").count == 1
+        assert engine.timing_log.count == 1
+
 
 class TestMoreSpotChecks:
     """Additional reference checks keeping joins/aggregates honest."""

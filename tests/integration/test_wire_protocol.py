@@ -140,5 +140,5 @@ class TestProtocolStrictness:
             client.execute("INSERT INTO TM VALUES (1)")
             client.execute("SEL * FROM TM")
         log = engine.timing_log
-        assert len(log.requests) == 3
+        assert log.count == 3
         assert log.total > 0

@@ -102,8 +102,6 @@ class TestManagedServer:
             assert tracker.workload_total("admitted") >= 4
             # Queue wait was measured and folded into the timing log.
             assert engine.timing_log.queue_wait > 0.0
-            for timing in engine.timing_log.requests:
-                assert timing.queue_wait >= 0.0
         finally:
             manager.close()
 

@@ -93,17 +93,6 @@ class TestEquivalence:
         assert buffered.rowcount == sum(len(rows) for rows in batches)
         buffered.close()
 
-    @given(data=result_sets())
-    @settings(max_examples=50, deadline=None)
-    def test_parallel_lookahead_changes_nothing(self, data):
-        columns, declared, batches = data
-        with ResultConverter(parallelism=3) as pooled:
-            parallel = _chunks(pooled.encode_stream(columns, iter(batches),
-                                                    declared))
-        serial = _chunks(ResultConverter().encode_stream(
-            columns, iter(batches), declared))
-        assert parallel == serial
-
 
 class _Code(enum.IntEnum):
     SEVEN = 7

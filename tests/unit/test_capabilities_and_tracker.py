@@ -1,6 +1,8 @@
 """Unit tests for capability profiles, the feature registry, the tracker,
 and timing instrumentation."""
 
+import sys
+import threading
 import time
 
 import pytest
@@ -153,3 +155,34 @@ class TestTiming:
         log = TimingLog()
         assert log.overhead_fraction == 0.0
         assert log.breakdown()["execution"] == 0.0
+
+    def test_concurrent_records_lose_no_update(self):
+        """Sessions on many threads record into one log, and conversion
+        time keeps arriving after recording: no increment may be lost."""
+        log = TimingLog()
+        threads, per_thread = 8, 10_000
+        start = threading.Barrier(threads)
+
+        def worker():
+            start.wait(timeout=60)
+            for __ in range(per_thread):
+                timing = RequestTiming(translation=1.0, execution=2.0)
+                log.record(timing)
+                timing.add("result_conversion", 0.5)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pool = [threading.Thread(target=worker) for __ in range(threads)]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in pool)
+        finally:
+            sys.setswitchinterval(interval)
+        total = threads * per_thread
+        assert log.count == total
+        assert log.translation == total
+        assert log.execution == 2.0 * total
+        assert log.result_conversion == 0.5 * total

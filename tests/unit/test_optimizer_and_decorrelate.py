@@ -5,6 +5,7 @@ equivalence against unoptimized evaluation."""
 import pytest
 
 from repro.backend import Database
+from repro.backend import decorrelate
 from repro.backend.optimizer import _factor_or, optimize
 from repro.xtra import relational as r
 from repro.xtra import scalars as s
@@ -130,6 +131,14 @@ class TestDecorrelation:
         keys = {row[0] for row in b_rows}
         expected = sum(1 for (a_id,) in a_rows if a_id in keys)
         assert fast.rows == [(expected,)]
+
+    def test_exists_without_decorrelation_same_answer(self, db, monkeypatch):
+        query = ("SELECT COUNT(*) FROM A WHERE EXISTS "
+                 "(SELECT 1 FROM B WHERE B.ID = A.ID AND B.Y > 0)")
+        decorrelated = db.execute(query).rows
+        monkeypatch.setattr(decorrelate, "build_index",
+                            lambda executor, subquery: None)
+        assert db.execute(query).rows == decorrelated
 
     def test_not_exists_anti_join(self, db):
         result = db.execute(

@@ -1,4 +1,4 @@
-"""Unit tests for the result pipeline: store spill, converter, parallelism."""
+"""Unit tests for the result pipeline: store spill, converter, streaming."""
 
 import datetime
 
@@ -65,23 +65,6 @@ class TestResultConverter:
         assert result.rowcount == 5
         assert result.rows() == rows
         result.close()
-
-    def test_parallel_conversion_matches_serial(self):
-        rows = self.rows(50)
-        serial = ResultConverter(parallelism=1).convert(
-            self.batches(rows, 5), [t.INTEGER, t.varchar(10), t.DATE])
-        parallel = ResultConverter(parallelism=4).convert(
-            self.batches(rows, 5), [t.INTEGER, t.varchar(10), t.DATE])
-        assert serial.rows() == parallel.rows()
-        serial.close()
-        parallel.close()
-
-    def test_streaming_mode_keeps_chunks(self):
-        converter = ResultConverter(buffer_all=False)
-        result = converter.convert(self.batches(self.rows(6), 2),
-                                   [t.INTEGER, t.varchar(10), t.DATE])
-        assert result.store is None
-        assert len(result.chunks) == 3
 
     def test_spill_path_exercised(self, tmp_path):
         converter = ResultConverter(max_memory_bytes=64, spill_dir=str(tmp_path))
@@ -166,14 +149,6 @@ class TestStreamingConverter:
         assert result.rowcount == 100
         assert result.store.high_water <= 64
         result.close()
-
-    def test_parallel_stream_matches_serial(self):
-        rows = self.rows(50)
-        serial = ResultConverter(parallelism=1).convert_stream(
-            self.batches(rows, 5), self.TYPES)
-        with ResultConverter(parallelism=4) as pooled:
-            parallel = pooled.convert_stream(self.batches(rows, 5), self.TYPES)
-            assert serial.rows() == parallel.rows()
 
     def test_empty_result_still_yields_header_chunk(self):
         result = ResultConverter().convert_stream(

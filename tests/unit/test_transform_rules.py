@@ -7,6 +7,7 @@ from repro.core.tracker import FeatureTracker
 from repro.errors import TransformError
 from repro.frontend.teradata.binder import Binder
 from repro.frontend.teradata.parser import TeradataParser
+from repro.serializer import serializer_for
 from repro.transform.capabilities import (
     HYPERION, HYPERION_PLUS, MEADOWSHIFT, TERADATA,
 )
@@ -42,8 +43,8 @@ def bound(sql, catalog, tracker=None):
     return Binder(catalog, tracker).bind(parser.parse_statement(sql))
 
 
-def transform(statement, profile=HYPERION, tracker=None, fixpoint=True):
-    Transformer(profile, tracker, fixpoint=fixpoint).transform(statement)
+def transform(statement, profile=HYPERION, tracker=None):
+    Transformer(profile, tracker).transform(statement)
     return statement
 
 
@@ -223,10 +224,21 @@ class TestEngineMechanics:
         with pytest.raises(TransformError):
             transformer.transform(statement)
 
-    def test_single_pass_mode_stops_after_one_round(self, catalog):
-        statement = bound("SEL SALES_DATE + 30 FROM SALES ORDER BY STORE",
-                          catalog)
-        transform(statement, HYPERION, fixpoint=False)  # must not raise
+    def test_every_rule_lands_on_one_statement(self, catalog):
+        """Date/integer comparison, date arithmetic, a vector subquery and
+        ROLLUP in one statement: the fixpoint leaves no Teradata-ism."""
+        statement = bound(
+            "SEL STORE, SUM(AMOUNT) AS TOTAL FROM SALES "
+            "WHERE SALES_DATE > 1140101 "
+            "AND SALES_DATE + 30 < DATE '2015-01-01' "
+            "AND (AMOUNT, AMOUNT) > ANY (SEL GROSS, NET FROM SALES_HISTORY) "
+            "GROUP BY ROLLUP (STORE) ORDER BY 2 DESC", catalog)
+        sql = serializer_for(HYPERION).serialize(transform(statement))
+        assert "EXTRACT(YEAR FROM" in sql
+        assert "DATEADD" in sql
+        assert "EXISTS" in sql
+        assert "UNION ALL" in sql
+        assert "ROLLUP" not in sql
 
     def test_rules_filtered_by_capability(self):
         assert not Transformer(TERADATA).active_rules
