@@ -21,7 +21,9 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.backend import functions as fl
-from repro.backend.expressions import Env, EvalContext, UnresolvedColumnError
+from repro.backend.expressions import (
+    Env, EvalContext, UnresolvedColumnError, hashable_row,
+)
 from repro.xtra import relational as r
 from repro.xtra import scalars as s
 from repro.xtra.relational import OutputColumn, RelNode
@@ -61,14 +63,14 @@ def _conjuncts(expr: ScalarExpr) -> list[ScalarExpr]:
     return [expr]
 
 
-class SubqueryIndex:
-    """A decorrelated subquery: evaluate-once inner side + per-row probe."""
+#: A per-row probe standing in for the subquery: input row -> value.
+Probe = Callable[[tuple], object]
+#: A decorrelated subquery: its inner side is already evaluated; calling it
+#: with an operator's ``(env, outer)`` compiles that operator's probe.
+Binder = Callable[[Env, Optional[EvalContext]], Probe]
 
-    def __init__(self, probe: Callable[[EvalContext], object]):
-        self.probe = probe
 
-
-def build_index(executor, subq: s.SubqueryExpr) -> Optional[SubqueryIndex]:
+def build_index(executor, subq: s.SubqueryExpr) -> Optional[Binder]:
     """Try to decorrelate *subq*; returns None when the shape doesn't fit."""
     if subq.kind not in (s.SubqueryKind.EXISTS, s.SubqueryKind.SCALAR):
         return None
@@ -129,6 +131,7 @@ def build_index(executor, subq: s.SubqueryExpr) -> Optional[SubqueryIndex]:
     key_names = [f"_K{i}" for i in range(len(pairs))]
     inner_exprs = [inner for inner, __ in pairs]
     outer_exprs = [outer for __, outer in pairs]
+    evaluator = executor.evaluator
 
     if subq.kind is s.SubqueryKind.EXISTS and aggregate is None:
         negated = subq.negated
@@ -138,15 +141,18 @@ def build_index(executor, subq: s.SubqueryExpr) -> Optional[SubqueryIndex]:
                 __, rows = executor.run(keyed, None)
             except UnresolvedColumnError:
                 return None
-            key_set = {_key(row) for row in rows if None not in row}
+            key_set = {hashable_row(row) for row in rows if None not in row}
 
-            def probe_exists(ctx: EvalContext) -> object:
-                key = _key(tuple(executor.evaluator.eval(expr, ctx)
-                                 for expr in outer_exprs))
-                hit = None not in key and key in key_set
-                return (not hit) if negated else hit
+            def bind_exists(env: Env, outer: Optional[EvalContext]) -> Probe:
+                outer_key = evaluator.compile_row(outer_exprs, env, outer)
 
-            return SubqueryIndex(probe_exists)
+                def probe_exists(row: tuple) -> object:
+                    key = hashable_row(outer_key(row))
+                    hit = None not in key and key in key_set
+                    return (not hit) if negated else hit
+                return probe_exists
+
+            return bind_exists
 
         # Residual correlation: bucket full inner rows by key, evaluate the
         # residual per candidate against the outer context (semi join with
@@ -156,30 +162,33 @@ def build_index(executor, subq: s.SubqueryExpr) -> Optional[SubqueryIndex]:
         except UnresolvedColumnError:
             return None
         bucket_env = Env(inner_cols)
-        key_row_env = Env(inner_cols)
+        inner_key = evaluator.compile_row(inner_exprs, bucket_env, None)
         buckets: dict[tuple, list[tuple]] = {}
         for row in inner_rows:
-            ctx0 = EvalContext(row, key_row_env, None)
-            key = _key(tuple(executor.evaluator.eval(expr, ctx0)
-                             for expr in inner_exprs))
+            key = hashable_row(inner_key(row))
             if None in key:
                 continue
             buckets.setdefault(key, []).append(row)
-        residual_pred2 = s.conjoin(list(correlated_residual))
+        residual_pred = s.conjoin(list(correlated_residual))
 
-        def probe_exists_residual(ctx: EvalContext) -> object:
-            key = _key(tuple(executor.evaluator.eval(expr, ctx)
-                             for expr in outer_exprs))
-            hit = False
-            if None not in key:
-                for row in buckets.get(key, ()):
-                    inner_ctx = EvalContext(row, bucket_env, ctx)
-                    if executor.evaluator.eval_bool(residual_pred2, inner_ctx):
-                        hit = True
-                        break
-            return (not hit) if negated else hit
+        def bind_exists_residual(env: Env, outer: Optional[EvalContext]) -> Probe:
+            outer_key = evaluator.compile_row(outer_exprs, env, outer)
+            # The residual reads the probing row through this context,
+            # re-pointed before each bucket scan.
+            probing = EvalContext((), env, outer)
+            residual = evaluator.compile(residual_pred, bucket_env, probing)
 
-        return SubqueryIndex(probe_exists_residual)
+            def probe_exists_residual(row: tuple) -> object:
+                key = hashable_row(outer_key(row))
+                hit = False
+                if None not in key:
+                    probing.row = row
+                    hit = any(residual(inner) is True
+                              for inner in buckets.get(key, ()))
+                return (not hit) if negated else hit
+            return probe_exists_residual
+
+        return bind_exists_residual
 
     if subq.kind is s.SubqueryKind.SCALAR and aggregate is not None \
             and projection is not None:
@@ -191,30 +200,31 @@ def build_index(executor, subq: s.SubqueryExpr) -> Optional[SubqueryIndex]:
             columns, rows = executor.run(grouped, None)
         except UnresolvedColumnError:
             return None
-        out_env = Env(columns)
+        value_of = evaluator.compile(projection.exprs[0], Env(columns), None)
         table: dict[tuple, object] = {}
         for row in rows:
-            key = _key(row[:len(pairs)])
+            key = hashable_row(row[:len(pairs)])
             if None in key:
                 continue
-            ctx = EvalContext(row, out_env, None)
-            table[key] = executor.evaluator.eval(projection.exprs[0], ctx)
+            table[key] = value_of(row)
         # Aggregate-over-empty-input default (NULL, or 0 for COUNT).
         defaults = tuple([None] * len(pairs) + [
             fl.make_accumulator(agg.name, agg.distinct, agg.star).result()
             for agg in aggregate.aggs
         ])
-        default_ctx = EvalContext(defaults, out_env, None)
-        default_value = executor.evaluator.eval(projection.exprs[0], default_ctx)
+        default_value = value_of(defaults)
 
-        def probe_scalar(ctx: EvalContext) -> object:
-            key = _key(tuple(executor.evaluator.eval(expr, ctx)
-                             for expr in outer_exprs))
-            if None in key:
-                return default_value
-            return table.get(key, default_value)
+        def bind_scalar(env: Env, outer: Optional[EvalContext]) -> Probe:
+            outer_key = evaluator.compile_row(outer_exprs, env, outer)
 
-        return SubqueryIndex(probe_scalar)
+            def probe_scalar(row: tuple) -> object:
+                key = hashable_row(outer_key(row))
+                if None in key:
+                    return default_value
+                return table.get(key, default_value)
+            return probe_scalar
+
+        return bind_scalar
 
     return None
 
@@ -230,10 +240,3 @@ def _walk(node: RelNode):
     for child in node.children():
         yield from _walk(child)
 
-
-def _key(row: tuple) -> tuple:
-    return tuple(
-        int(value) if isinstance(value, float) and value.is_integer() else
-        value.rstrip() if isinstance(value, str) else value
-        for value in row
-    )

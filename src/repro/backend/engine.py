@@ -462,17 +462,19 @@ class BackendSession:
             for name, expr in spec.assignments
         ]
         positions = [table.column_index(name) for name, __ in assignments]
+        compile_ = executor.evaluator.compile
+        matches = compile_(predicate, env) if predicate is not None else None
+        setters = [(position, compile_(expr, env))
+                   for position, (__, expr) in zip(positions, assignments)]
         updated = 0
         new_rows: list[tuple] = []
         for row in table.rows:
-            ctx = EvalContext(row, env, None)
-            hit = predicate is None or executor.evaluator.eval_bool(predicate, ctx)
-            if not hit:
+            if matches is not None and matches(row) is not True:
                 new_rows.append(row)
                 continue
             values = list(row)
-            for position, (__, expr) in zip(positions, assignments):
-                values[position] = executor.evaluator.eval(expr, ctx)
+            for position, value_of in setters:
+                values[position] = value_of(row)
             new_rows.append(tuple(values))
             updated += 1
         # Re-validate through a scratch table to enforce types/NOT NULL.
@@ -487,11 +489,12 @@ class BackendSession:
         scope = p._Scope()
         predicate = (self._planner._plan_scalar_subqueries(spec.predicate, scope)
                      if spec.predicate is not None else None)
+        matches = (executor.evaluator.compile(predicate, env)
+                   if predicate is not None else None)
         kept: list[tuple] = []
         deleted = 0
         for row in table.rows:
-            ctx = EvalContext(row, env, None)
-            if predicate is None or executor.evaluator.eval_bool(predicate, ctx):
+            if matches is None or matches(row) is True:
                 deleted += 1
             else:
                 kept.append(row)
@@ -541,23 +544,27 @@ class BackendSession:
         source_cols, source_rows = executor.run(source_plan)
         combined_env = Env(list(target_env_cols) + list(source_cols))
         scope = p._Scope()
-        condition = self._planner._plan_scalar_subqueries(spec.condition, scope)
+        compile_ = executor.evaluator.compile
+        condition = compile_(
+            self._planner._plan_scalar_subqueries(spec.condition, scope),
+            combined_env)
+        setters = [(name, compile_(expr, combined_env))
+                   for name, expr in spec.matched_assignments or []]
         affected = 0
         new_rows: list[tuple] = []
         matched_sources: set[int] = set()
         for target_row in table.rows:
             match_row = None
             for index, source_row in enumerate(source_rows):
-                ctx = EvalContext(target_row + source_row, combined_env, None)
-                if executor.evaluator.eval_bool(condition, ctx):
+                if condition(target_row + source_row) is True:
                     match_row = source_row
                     matched_sources.add(index)
                     break
-            if match_row is not None and spec.matched_assignments:
-                ctx = EvalContext(target_row + match_row, combined_env, None)
+            if match_row is not None and setters:
+                combined = target_row + match_row
                 values = list(target_row)
-                for name, expr in spec.matched_assignments:
-                    values[table.column_index(name)] = executor.evaluator.eval(expr, ctx)
+                for name, value_of in setters:
+                    values[table.column_index(name)] = value_of(combined)
                 new_rows.append(tuple(values))
                 affected += 1
             else:
@@ -566,14 +573,16 @@ class BackendSession:
         table.insert_rows(new_rows)
         if spec.insert_columns and spec.insert_values is not None:
             positions = [table.column_index(name) for name in spec.insert_columns]
+            inserters = [(position, compile_(expr, combined_env))
+                         for position, expr in zip(positions, spec.insert_values)]
             null_target = (None,) * len(table.schema.columns)
             for index, source_row in enumerate(source_rows):
                 if index in matched_sources:
                     continue
-                ctx = EvalContext(null_target + source_row, combined_env, None)
+                combined = null_target + source_row
                 full_row: list[object] = [None] * len(table.schema.columns)
-                for position, expr in zip(positions, spec.insert_values):
-                    full_row[position] = executor.evaluator.eval(expr, ctx)
+                for position, value_of in inserters:
+                    full_row[position] = value_of(combined)
                 table.insert_row(full_row)
                 affected += 1
         return QueryResult("count", rowcount=affected)

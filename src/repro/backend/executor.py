@@ -30,7 +30,10 @@ from typing import Iterable, Iterator, Optional
 from repro.errors import BackendError
 from repro.transform.capabilities import CapabilityProfile, NullOrdering
 from repro.backend.catalog import Catalog
-from repro.backend.expressions import Env, EvalContext, Evaluator, UnresolvedColumnError
+from repro.backend.expressions import (
+    Env, EvalContext, Evaluator, UnresolvedColumnError, hashable_row, raising,
+    row_builder,
+)
 from repro.backend import functions as fl
 from repro.xtra.relational import (
     Aggregate, CTERef, DerivedTable, Distinct, Filter, Get, GroupingKind,
@@ -63,7 +66,6 @@ class Executor:
         self._faults = faults
         self._replica = replica
         self._evaluator = Evaluator(profile, self._run_subquery)
-        self._evaluator.subquery_overrides = {}
         self._cte_frames: list[dict[str, tuple[list[OutputColumn], list[tuple]]]] = []
         # id(plan) -> cached uncorrelated result, or _CORRELATED sentinel.
         self._subquery_cache: dict[int, object] = {}
@@ -158,8 +160,8 @@ class Executor:
     def _values(self, node: Values, outer):
         # Eager: VALUES cells may contain subquery expressions.
         env = Env([])
-        ctx = EvalContext((), env, outer)
-        rows = [tuple(self._evaluator.eval(cell, ctx) for cell in row)
+        compile_ = self._evaluator.compile
+        rows = [tuple(compile_(cell, env, outer)(()) for cell in row)
                 for row in node.rows]
         return node.output_columns(), rows
 
@@ -179,54 +181,43 @@ class Executor:
         env = Env(columns)
         subqueries = decorrelate.collect_subqueries(node.predicate)
         if not subqueries:
-            evaluator = self._evaluator
-
-            def generate():
-                for row in rows:
-                    if evaluator.eval_bool(node.predicate,
-                                           EvalContext(row, env, outer)):
-                        yield row
-            return node.output_columns(), generate()
+            predicate = self._evaluator.compile(node.predicate, env, outer)
+            return node.output_columns(), (
+                row for row in rows if predicate(row) is True)
         # Subquery predicates evaluate eagerly (CTE frames must be alive).
-        # Decorrelate eligible subqueries into hash probes before the row
-        # loop; ineligible ones fall back to per-row evaluation.
+        # Decorrelate eligible subqueries into hash probes before the
+        # predicate compiles (it binds the probes); ineligible ones fall
+        # back to per-row evaluation.
         rows = _as_list(rows)
+        overrides = self._evaluator.subquery_overrides
         installed: list[int] = []
         try:
             if len(rows) > 8:
                 for subq in subqueries:
-                    if id(subq) in self._evaluator.subquery_overrides:
+                    if id(subq) in overrides:
                         continue
-                    index = decorrelate.build_index(self, subq)
-                    if index is not None:
-                        self._evaluator.subquery_overrides[id(subq)] = index.probe
+                    bind = decorrelate.build_index(self, subq)
+                    if bind is not None:
+                        overrides[id(subq)] = bind
                         installed.append(id(subq))
-            kept = [row for row in rows
-                    if self._evaluator.eval_bool(node.predicate,
-                                                 EvalContext(row, env, outer))]
+            predicate = self._evaluator.compile(node.predicate, env, outer)
+            kept = [row for row in rows if predicate(row) is True]
         finally:
             for key in installed:
-                self._evaluator.subquery_overrides.pop(key, None)
+                overrides.pop(key, None)
         return node.output_columns(), kept
 
     def _project(self, node: Project, outer):
         columns, rows = self._execute(node.child, outer)
         env = Env(columns)
-        evaluator = self._evaluator
+        if env.column_indices(node.exprs) == list(range(len(columns))):
+            # The child's columns, in order: its rows are the output.
+            return node.output_columns(), rows
+        project = self._evaluator.compile_row(node.exprs, env, outer)
         if any(_contains_subquery(expr) for expr in node.exprs):
             # Eager: scalar subqueries may reference CTE frames.
-            out_rows = []
-            for row in rows:
-                ctx = EvalContext(row, env, outer)
-                out_rows.append(tuple(evaluator.eval(expr, ctx)
-                                      for expr in node.exprs))
-            return node.output_columns(), out_rows
-
-        def generate():
-            for row in rows:
-                ctx = EvalContext(row, env, outer)
-                yield tuple(evaluator.eval(expr, ctx) for expr in node.exprs)
-        return node.output_columns(), generate()
+            return node.output_columns(), [project(row) for row in rows]
+        return node.output_columns(), map(project, rows)
 
     def _derived(self, node: DerivedTable, outer):
         __, rows = self._execute(node.child, outer)
@@ -234,15 +225,7 @@ class Executor:
 
     def _distinct(self, node: Distinct, outer):
         columns, rows = self._execute(node.child, outer)
-
-        def generate():
-            seen: set = set()
-            for row in rows:
-                key = _hashable_row(row)
-                if key not in seen:
-                    seen.add(key)
-                    yield row
-        return columns, generate()
+        return columns, _dedupe_stream(rows)
 
     def _sort(self, node: Sort, outer):
         columns, rows = self._materialize(node.child, outer)
@@ -255,8 +238,8 @@ class Executor:
         default_first = self._profile.default_null_ordering is NullOrdering.NULLS_FIRST
         decorated = list(rows)
         for key in reversed(keys):
-            values = [self._evaluator.eval(key.expr, EvalContext(row, env, outer))
-                      for row in decorated]
+            value_of = self._evaluator.compile(key.expr, env, outer)
+            values = [value_of(row) for row in decorated]
             # default_null_ordering is defined per *ascending* key: the engine
             # treats NULL as an extreme value, so a DESC key flips placement.
             default = default_first if key.ascending else not default_first
@@ -269,7 +252,7 @@ class Executor:
             paired = sorted(
                 zip(values, decorated),
                 key=lambda pair: (null_rank, 0) if pair[0] is None
-                else (1 - null_rank, _SortValue(pair[0])),
+                else (1 - null_rank, _sort_value(pair[0])),
                 reverse=reverse,
             )
             decorated = [row for __, row in paired]
@@ -290,18 +273,19 @@ class Executor:
             if not isinstance(node.child, Sort) or end >= len(rows):
                 return columns, rows[start:end]
             env = Env(columns)
-            keys = node.child.keys
+            keys = [self._evaluator.compile(key.expr, env, outer)
+                    for key in node.child.keys]
             boundary = rows[end - 1]
-            while end < len(rows) and self._same_sort_key(rows[end], boundary, keys, env, outer):
+            while end < len(rows) and self._same_sort_key(rows[end], boundary, keys):
                 end += 1
             return columns, rows[start:end]
         # Early termination: stop pulling the child once the window is full.
         return columns, islice(iter(rows), start, end)
 
-    def _same_sort_key(self, row_a, row_b, keys, env, outer) -> bool:
-        for key in keys:
-            value_a = self._evaluator.eval(key.expr, EvalContext(row_a, env, outer))
-            value_b = self._evaluator.eval(key.expr, EvalContext(row_b, env, outer))
+    def _same_sort_key(self, row_a, row_b, keys) -> bool:
+        for value_of in keys:
+            value_a = value_of(row_a)
+            value_b = value_of(row_b)
             if value_a is None and value_b is None:
                 continue
             if self._evaluator.compare(CompOp.EQ, value_a, value_b) is not True:
@@ -373,29 +357,29 @@ class Executor:
 
     def _hash_join(self, kind, left_rows, right_rows, left_cols, right_cols,
                    equi, residual, env, outer, left_width, right_width):
-        left_env = Env(left_cols)
-        right_env = Env(right_cols)
+        compile_row = self._evaluator.compile_row
+        left_key = compile_row([expr for expr, __ in equi], Env(left_cols), outer)
+        right_key = compile_row([expr for __, expr in equi], Env(right_cols), outer)
+        if residual is not None:
+            residual = self._evaluator.compile(residual, env, outer)
 
         def generate():
             # The build happens on first pull; probing then streams.
             table: dict = {}
             for index, row in enumerate(right_rows):
-                ctx = EvalContext(row, right_env, outer)
-                key = tuple(self._evaluator.eval(expr, ctx) for __, expr in equi)
-                if any(value is None for value in key):
+                key = right_key(row)
+                if None in key:
                     continue  # NULL keys never join
-                table.setdefault(_hashable_row(key), []).append((index, row))
+                table.setdefault(hashable_row(key), []).append((index, row))
             matched_right: set[int] = set()
             null_right = (None,) * right_width
             for row in left_rows:
-                ctx = EvalContext(row, left_env, outer)
-                key = tuple(self._evaluator.eval(expr, ctx) for expr, __ in equi)
+                key = left_key(row)
                 matched = False
-                if not any(value is None for value in key):
-                    for right_index, right_row in table.get(_hashable_row(key), ()):
+                if None not in key:
+                    for right_index, right_row in table.get(hashable_row(key), ()):
                         combined = row + right_row
-                        if residual is None or self._evaluator.eval_bool(
-                                residual, EvalContext(combined, env, outer)):
+                        if residual is None or residual(combined) is True:
                             yield combined
                             matched = True
                             matched_right.add(right_index)
@@ -410,6 +394,8 @@ class Executor:
 
     def _loop_join(self, kind, left_rows, right_rows, condition, env, outer,
                    left_width, right_width):
+        condition = self._evaluator.compile(condition, env, outer)
+
         def generate():
             matched_right: set[int] = set()
             null_right = (None,) * right_width
@@ -417,8 +403,7 @@ class Executor:
                 matched = False
                 for index, right_row in enumerate(right_rows):
                     combined = row + right_row
-                    if self._evaluator.eval_bool(condition,
-                                                 EvalContext(combined, env, outer)):
+                    if condition(combined) is True:
                         yield combined
                         matched = True
                         matched_right.add(index)
@@ -436,12 +421,24 @@ class Executor:
     def _aggregate(self, node: Aggregate, outer):
         columns, rows = self._materialize(node.child, outer)
         env = Env(columns)
-        key_count = len(node.group_by)
-        sets = self._grouping_sets(node)
+        keys = [self._evaluator.compile(expr, env, outer)
+                for expr in node.group_by]
+        # None stands for COUNT(*)'s constant 1.
+        args = [None if agg.star else self._first_argument(agg, env, outer)
+                for agg in node.aggs]
         out_rows: list[tuple] = []
-        for included in sets:
-            out_rows.extend(self._aggregate_one_set(node, rows, env, outer, included))
+        for included in self._grouping_sets(node):
+            key_of = row_builder([key if index in included else _null
+                                  for index, key in enumerate(keys)])
+            out_rows.extend(self._aggregate_one_set(node, rows, key_of, args))
         return node.output_columns(), out_rows
+
+    def _first_argument(self, call, env: Env, outer):
+        """*call*'s first argument, compiled; a call without one raises when
+        a row needs the argument, never over an empty input."""
+        if call.args:
+            return self._evaluator.compile(call.args[0], env, outer)
+        return raising(BackendError, f"{call.name}() requires an argument")
 
     def _grouping_sets(self, node: Aggregate) -> list[frozenset[int]]:
         all_keys = frozenset(range(len(node.group_by)))
@@ -460,16 +457,13 @@ class Executor:
             return sets
         return [frozenset(indexes) for indexes in (node.grouping_sets or [list(all_keys)])]
 
-    def _aggregate_one_set(self, node: Aggregate, rows, env, outer,
-                           included: frozenset[int]) -> list[tuple]:
+    def _aggregate_one_set(self, node: Aggregate, rows, key_of,
+                           args) -> list[tuple]:
         groups: dict = {}
         order: list = []
         for row in rows:
-            ctx = EvalContext(row, env, outer)
-            key_values = tuple(
-                self._evaluator.eval(expr, ctx) if index in included else None
-                for index, expr in enumerate(node.group_by))
-            key = _hashable_row(key_values)
+            key_values = key_of(row)
+            key = hashable_row(key_values)
             state = groups.get(key)
             if state is None:
                 accs = [fl.make_accumulator(agg.name, agg.distinct, agg.star)
@@ -477,11 +471,8 @@ class Executor:
                 state = (key_values, accs)
                 groups[key] = state
                 order.append(key)
-            for agg, acc in zip(node.aggs, state[1]):
-                if agg.star:
-                    acc.add(1)
-                else:
-                    acc.add(self._evaluator.eval(agg.args[0], ctx))
+            for arg, acc in zip(args, state[1]):
+                acc.add(1 if arg is None else arg(row))
         if not groups and not node.group_by:
             # Global aggregate over empty input yields one row of defaults.
             accs = [fl.make_accumulator(agg.name, agg.distinct, agg.star)
@@ -509,33 +500,33 @@ class Executor:
 
     def _compute_window(self, func: WindowFunc, rows, env, outer) -> list[object]:
         results: list[object] = [None] * len(rows)
+        compile_ = self._evaluator.compile
+        partition_key = self._evaluator.compile_row(func.partition_by, env, outer)
+        order_keys = [compile_(key.expr, env, outer) for key in func.order_by]
+        peer_key = row_builder(order_keys)
+        value_of = self._first_argument(func, env, outer)
+        # LAG/LEAD offset and default: constants, no input columns.
+        constants = [compile_(arg, Env([]), None) for arg in func.args[1:3]]
         # Partition rows, carrying their original indices.
         partitions: dict = {}
         for index, row in enumerate(rows):
-            ctx = EvalContext(row, env, outer)
-            key = _hashable_row(tuple(
-                self._evaluator.eval(expr, ctx) for expr in func.partition_by))
+            key = hashable_row(partition_key(row))
             partitions.setdefault(key, []).append(index)
         for indices in partitions.values():
             ordered = indices
             if func.order_by:
-                ordered = self._sort_indices(indices, rows, func.order_by, env, outer)
-            self._fill_window_values(func, ordered, rows, env, outer, results)
+                ordered = self._sort_indices(indices, rows, func.order_by, order_keys)
+            self._fill_window_values(func, ordered, rows, peer_key, value_of,
+                                     constants, results)
         return results
 
     def _sort_indices(self, indices: list[int], rows, keys: list[SortKey],
-                      env, outer) -> list[int]:
+                      compiled_keys) -> list[int]:
         """Stable multi-key sort of row *indices* (window partitions)."""
-        from repro.transform.capabilities import NullOrdering as _NO
-
-        default_first = self._profile.default_null_ordering is _NO.NULLS_FIRST
+        default_first = self._profile.default_null_ordering is NullOrdering.NULLS_FIRST
         ordered = list(indices)
-        for key in reversed(keys):
-            values = {
-                index: self._evaluator.eval(
-                    key.expr, EvalContext(rows[index], env, outer))
-                for index in ordered
-            }
+        for key, value_of in reversed(list(zip(keys, compiled_keys))):
+            values = {index: value_of(rows[index]) for index in ordered}
             # Per-ascending-key default; DESC keys flip (see _sort_rows).
             default = default_first if key.ascending else not default_first
             nulls_first = key.nulls_first if key.nulls_first is not None else default
@@ -546,19 +537,16 @@ class Executor:
                 null_rank = 0 if nulls_first else 1
             ordered.sort(
                 key=lambda index: (null_rank, 0) if values[index] is None
-                else (1 - null_rank, _SortValue(values[index])),
+                else (1 - null_rank, _sort_value(values[index])),
                 reverse=reverse,
             )
         return ordered
 
     def _fill_window_values(self, func: WindowFunc, ordered: list[int], rows,
-                            env, outer, results: list[object]) -> None:
+                            peer_key, value_of, constants,
+                            results: list[object]) -> None:
         name = func.name.upper()
-        peer_keys = []
-        for index in ordered:
-            ctx = EvalContext(rows[index], env, outer)
-            peer_keys.append(_hashable_row(tuple(
-                self._evaluator.eval(key.expr, ctx) for key in func.order_by)))
+        peer_keys = [hashable_row(peer_key(rows[index])) for index in ordered]
         if name == "ROW_NUMBER":
             for position, index in enumerate(ordered):
                 results[index] = position + 1
@@ -577,23 +565,21 @@ class Executor:
         if name in ("LAG", "LEAD"):
             offset = 1
             default = None
-            constant_ctx = EvalContext((), Env([]), None)
-            if len(func.args) > 1:
+            if len(constants) > 0:
                 try:
-                    offset = int(self._evaluator.eval(func.args[1], constant_ctx))
+                    offset = int(constants[0](()))
                 except UnresolvedColumnError:
                     raise BackendError(f"{name}: offset must be a constant")
-            if len(func.args) > 2:
+            if len(constants) > 1:
                 try:
-                    default = self._evaluator.eval(func.args[2], constant_ctx)
+                    default = constants[1](())
                 except UnresolvedColumnError:
                     raise BackendError(f"{name}: default must be a constant")
             step = -offset if name == "LAG" else offset
             for position, index in enumerate(ordered):
                 source = position + step
                 if 0 <= source < len(ordered):
-                    ctx = EvalContext(rows[ordered[source]], env, outer)
-                    results[index] = self._evaluator.eval(func.args[0], ctx)
+                    results[index] = value_of(rows[ordered[source]])
                 else:
                     results[index] = default
             return
@@ -601,8 +587,7 @@ class Executor:
             if not ordered:
                 return
             pick = ordered[0] if name == "FIRST_VALUE" else ordered[-1]
-            ctx = EvalContext(rows[pick], env, outer)
-            value = self._evaluator.eval(func.args[0], ctx)
+            value = value_of(rows[pick])
             for index in ordered:
                 results[index] = value
             return
@@ -610,8 +595,7 @@ class Executor:
             if not func.order_by:
                 acc = fl.make_accumulator(name, star=not func.args)
                 for index in ordered:
-                    ctx = EvalContext(rows[index], env, outer)
-                    acc.add(self._evaluator.eval(func.args[0], ctx) if func.args else 1)
+                    acc.add(value_of(rows[index]) if func.args else 1)
                 value = acc.result()
                 for index in ordered:
                     results[index] = value
@@ -625,9 +609,7 @@ class Executor:
                        and peer_keys[peer_end + 1] == peer_keys[position]):
                     peer_end += 1
                 for cursor in range(position, peer_end + 1):
-                    index = ordered[cursor]
-                    ctx = EvalContext(rows[index], env, outer)
-                    acc.add(self._evaluator.eval(func.args[0], ctx) if func.args else 1)
+                    acc.add(value_of(rows[ordered[cursor]]) if func.args else 1)
                 value = acc.result()
                 for cursor in range(position, peer_end + 1):
                     results[ordered[cursor]] = value
@@ -656,7 +638,7 @@ class Executor:
             def intersect():
                 counts = _count_rows(right_rows)
                 for row in left_rows:
-                    key = _hashable_row(row)
+                    key = hashable_row(row)
                     if counts.get(key, 0) > 0:
                         yield row
                         if node.all:
@@ -669,7 +651,7 @@ class Executor:
         def except_():
             counts = _count_rows(right_rows)
             for row in left_rows:
-                key = _hashable_row(row)
+                key = hashable_row(row)
                 if counts.get(key, 0) > 0:
                     if node.all:
                         counts[key] -= 1
@@ -760,10 +742,10 @@ def _batched(rows: Iterable[tuple], batch_rows: int) -> Iterator[list[tuple]]:
 
 
 def _dedupe_stream(rows: Iterable[tuple]) -> Iterator[tuple]:
-    """Streaming first-occurrence dedupe (same key rules as `_dedupe`)."""
+    """Streaming first-occurrence dedupe under SQL equality."""
     seen: set = set()
     for row in rows:
-        key = _hashable_row(row)
+        key = hashable_row(row)
         if key not in seen:
             seen.add(key)
             yield row
@@ -778,51 +760,21 @@ def _contains_subquery(expr: ScalarExpr) -> bool:
     return any(isinstance(node, SubqueryExpr) for node in walk_scalars(expr))
 
 
-class _SortValue:
-    """Total-ordering wrapper so heterogeneous-but-compatible values sort."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value):
-        self.value = value
-
-    def __lt__(self, other):
-        left, right = self.value, other.value
-        if isinstance(left, str) and isinstance(right, str):
-            return left.rstrip() < right.rstrip()
-        return left < right
-
-    def __eq__(self, other):
-        left, right = self.value, other.value
-        if isinstance(left, str) and isinstance(right, str):
-            return left.rstrip() == right.rstrip()
-        return left == right
+def _sort_value(value):
+    """A non-NULL value as a sort key: text compares without trailing
+    blanks (PAD SPACE), everything else as itself."""
+    return value.rstrip(" ") if isinstance(value, str) else value
 
 
-def _hashable_row(row: tuple) -> tuple:
-    """Make a row usable as a dict key (floats that are integral fold to int)."""
-    return tuple(
-        int(value) if isinstance(value, float) and value.is_integer() else
-        value.rstrip() if isinstance(value, str) else value
-        for value in row
-    )
-
-
-def _dedupe(rows: list[tuple]) -> list[tuple]:
-    seen: set = set()
-    out = []
-    for row in rows:
-        key = _hashable_row(row)
-        if key not in seen:
-            seen.add(key)
-            out.append(row)
-    return out
+def _null(row: tuple) -> None:
+    """The compiled key of a column a grouping set leaves out."""
+    return None
 
 
 def _count_rows(rows: list[tuple]) -> dict:
     counts: dict = {}
     for row in rows:
-        key = _hashable_row(row)
+        key = hashable_row(row)
         counts[key] = counts.get(key, 0) + 1
     return counts
 

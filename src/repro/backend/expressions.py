@@ -4,17 +4,26 @@ Implements SQL three-valued logic (``None`` doubles as UNKNOWN), strict type
 checking on mixed-type operations (the backend rejects Teradata-isms like
 ``date > 1140101`` unless its capability profile says otherwise), vector
 comparisons for quantified subqueries, and LIKE pattern matching.
+
+Expressions are *compiled*, once per operator instance, into closures over
+the operator's input row: a column reference found in the operator's own
+input becomes a tuple index, one found in an enclosing (correlated) context
+becomes a read of that context's row. Name resolution therefore happens once
+per operator, not once per value. Resolution errors (unknown or ambiguous
+columns) are deferred: the closure raises them when a row is evaluated, so
+an empty input never raises and the executor's correlation probe still
+detects outer references by the first row that needs one.
 """
 
 from __future__ import annotations
 
 import datetime
+import operator
 import re
 from typing import Callable, Optional, Sequence
 
 from repro.errors import BackendError, TypeMismatchError
 from repro.transform.capabilities import CapabilityProfile
-from repro.xtra import scalars as s
 from repro.xtra import types as t
 from repro.xtra.relational import OutputColumn, RelNode
 from repro.xtra.scalars import (
@@ -24,6 +33,9 @@ from repro.xtra.scalars import (
     SubqueryKind,
 )
 from repro.backend import functions as fl
+
+#: A compiled expression: input row -> value.
+Compiled = Callable[[tuple], object]
 
 
 class Env:
@@ -53,6 +65,22 @@ class Env:
             raise BackendError(f"ambiguous column reference {name!r}")
         return hits[0]
 
+    def column_indices(self, exprs: Sequence[ScalarExpr]) -> Optional[list[int]]:
+        """Input positions of *exprs* when every one is a column reference
+        that resolves here (no outer reference, no ambiguity); else None."""
+        indices = []
+        for expr in exprs:
+            if not isinstance(expr, ColumnRef):
+                return None
+            try:
+                index = self.try_resolve(expr.name, expr.table)
+            except BackendError:
+                return None
+            if index is None:
+                return None
+            indices.append(index)
+        return indices
+
 
 class UnresolvedColumnError(BackendError):
     """A column reference matched no scope — also used by the executor to
@@ -60,7 +88,11 @@ class UnresolvedColumnError(BackendError):
 
 
 class EvalContext:
-    """A row binding plus the chain of outer rows for correlated subqueries."""
+    """A row binding plus the chain of outer rows for correlated subqueries.
+
+    Compiled expressions read an outer context's ``row`` when they run, so
+    a context may be re-pointed at another row between calls.
+    """
 
     __slots__ = ("row", "env", "parent")
 
@@ -69,64 +101,109 @@ class EvalContext:
         self.env = env
         self.parent = parent
 
-    def lookup(self, ref: ColumnRef) -> object:
-        ctx: Optional[EvalContext] = self
-        while ctx is not None:
-            index = ctx.env.try_resolve(ref.name, ref.table)
-            if index is not None:
-                return ctx.row[index]
-            ctx = ctx.parent
-        raise UnresolvedColumnError(f"unresolved column reference {ref.qualified()!r}")
-
 
 SubqueryRunner = Callable[[RelNode, Optional[EvalContext]], tuple[list[OutputColumn], list[tuple]]]
 
+_NUMBER_TYPES = frozenset((int, float))
+
+#: Per-operator truth tests over two totally ordered values. ``test(a, b)``
+#: equals ``order(a, b) op 0`` for the ``(a > b) - (a < b)`` order, NaN
+#: included, so ``test(order, 0)`` also serves the generic path.
+_COMPARE_TESTS: dict[CompOp, Callable[[object, object], bool]] = {
+    CompOp.EQ: lambda a, b: not (a < b or a > b),
+    CompOp.NE: lambda a, b: a < b or a > b,
+    CompOp.LT: operator.lt,
+    CompOp.LE: lambda a, b: not a > b,
+    CompOp.GT: operator.gt,
+    CompOp.GE: lambda a, b: not a < b,
+}
+
 
 class Evaluator:
-    """Evaluates scalar expressions against rows, honoring the backend's
-    capability profile for type-mixing rules."""
+    """Compiles scalar expressions into row closures, honoring the
+    backend's capability profile for type-mixing rules."""
 
     def __init__(self, profile: CapabilityProfile, run_subquery: SubqueryRunner):
         self._profile = profile
         self._run_subquery = run_subquery
+        #: id(SubqueryExpr) -> decorrelated subquery, installed by the
+        #: executor around a filter's row loop: ``bind(env, outer)`` compiles
+        #: the probe that replaces the subquery in that operator.
+        self.subquery_overrides: dict[int, Callable] = {}
 
-    # -- entry point --------------------------------------------------------
+    # -- entry points ---------------------------------------------------------
+
+    def compile(self, expr: ScalarExpr, env: Env,
+                outer: Optional[EvalContext] = None) -> Compiled:
+        """Compile *expr* over rows of *env*, with *outer* as the fixed chain
+        of enclosing rows for correlated references."""
+        compiler = self._COMPILERS.get(type(expr))
+        if compiler is None:
+            return raising(BackendError, f"cannot evaluate {type(expr).__name__}")
+        return compiler(self, expr, env, outer)
+
+    def compile_row(self, exprs: Sequence[ScalarExpr], env: Env,
+                    outer: Optional[EvalContext] = None) -> Callable[[tuple], tuple]:
+        """Compile *exprs* into one function from an input row to a tuple."""
+        indices = env.column_indices(exprs)
+        if indices is not None and len(indices) > 1:
+            return operator.itemgetter(*indices)
+        return row_builder([self.compile(expr, env, outer) for expr in exprs])
 
     def eval(self, expr: ScalarExpr, ctx: EvalContext) -> object:
-        method = self._DISPATCH.get(type(expr))
-        if method is None:
-            raise BackendError(f"cannot evaluate {type(expr).__name__}")
-        return method(self, expr, ctx)
+        """One-off evaluation (compile and call; per-row loops compile once)."""
+        return self.compile(expr, ctx.env, ctx.parent)(ctx.row)
 
-    def eval_bool(self, expr: ScalarExpr, ctx: EvalContext) -> bool:
-        """Evaluate a predicate; UNKNOWN (None) counts as not satisfied."""
-        return self.eval(expr, ctx) is True
+    # -- node compilers -------------------------------------------------------
 
-    # -- node handlers --------------------------------------------------------
+    def _const(self, expr: Const, env, outer) -> Compiled:
+        value = expr.value
+        return lambda row: value
 
-    def _const(self, expr: Const, ctx: EvalContext) -> object:
-        return expr.value
+    def _column(self, expr: ColumnRef, env, outer) -> Compiled:
+        try:
+            index = env.try_resolve(expr.name, expr.table)
+            if index is not None:
+                return operator.itemgetter(index)
+            scope = outer
+            while scope is not None:
+                index = scope.env.try_resolve(expr.name, expr.table)
+                if index is not None:
+                    return _outer_column(scope, index)
+                scope = scope.parent
+        except BackendError as exc:
+            return raising(type(exc), str(exc))
+        return raising(UnresolvedColumnError,
+                       f"unresolved column reference {expr.qualified()!r}")
 
-    def _column(self, expr: ColumnRef, ctx: EvalContext) -> object:
-        return ctx.lookup(expr)
+    def _param(self, expr: Param, env, outer) -> Compiled:
+        return raising(BackendError, f"unbound parameter {expr.name!r}")
 
-    def _param(self, expr: Param, ctx: EvalContext) -> object:
-        raise BackendError(f"unbound parameter {expr.name!r}")
+    def _negate(self, expr: Negate, env, outer) -> Compiled:
+        operand = self.compile(expr.operand, env, outer)
 
-    def _negate(self, expr: Negate, ctx: EvalContext) -> object:
-        value = self.eval(expr.operand, ctx)
-        if value is None:
-            return None
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise TypeMismatchError(f"cannot negate {type(value).__name__}")
-        return -value
+        def negate(row):
+            value = operand(row)
+            if value is None:
+                return None
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise TypeMismatchError(f"cannot negate {type(value).__name__}")
+            return -value
+        return negate
 
-    def _arith(self, expr: Arith, ctx: EvalContext) -> object:
-        left = self.eval(expr.left, ctx)
-        right = self.eval(expr.right, ctx)
-        if left is None or right is None:
-            return None
-        return self.apply_arith(expr.op, left, right)
+    def _arith(self, expr: Arith, env, outer) -> Compiled:
+        left = self.compile(expr.left, env, outer)
+        right = self.compile(expr.right, env, outer)
+        op = expr.op
+        apply = self.apply_arith
+
+        def arith(row):
+            left_value = left(row)
+            right_value = right(row)
+            if left_value is None or right_value is None:
+                return None
+            return apply(op, left_value, right_value)
+        return arith
 
     def apply_arith(self, op: ArithOp, left: object, right: object) -> object:
         if op is ArithOp.CONCAT:
@@ -168,35 +245,34 @@ class Evaluator:
             f"operator {op.value} undefined for "
             f"{type(left).__name__} and {type(right).__name__}")
 
-    def _comp(self, expr: Comp, ctx: EvalContext) -> object:
-        left = self.eval(expr.left, ctx)
-        right = self.eval(expr.right, ctx)
-        return self.compare(expr.op, left, right)
+    def _comp(self, expr: Comp, env, outer) -> Compiled:
+        left = self.compile(expr.left, env, outer)
+        right = self.compile(expr.right, env, outer)
+        op = expr.op
+        compare = self.compare
+        return lambda row: compare(op, left(row), right(row))
 
     def compare(self, op: CompOp, left: object, right: object) -> object:
         """Three-valued comparison with strict type mixing rules."""
         if left is None or right is None:
             return None
-        order = self._order(left, right)
-        if op is CompOp.EQ:
-            return order == 0
-        if op is CompOp.NE:
-            return order != 0
-        if op is CompOp.LT:
-            return order < 0
-        if op is CompOp.LE:
-            return order <= 0
-        if op is CompOp.GT:
-            return order > 0
-        return order >= 0
+        test = _COMPARE_TESTS[op]
+        left_type = type(left)
+        right_type = type(right)
+        if left_type in _NUMBER_TYPES and right_type in _NUMBER_TYPES:
+            return test(left, right)
+        if left_type is str and right_type is str:
+            return test(left.rstrip(" "), right.rstrip(" "))
+        return test(self._order(left, right), 0)
 
     def _order(self, left: object, right: object) -> int:
         """-1/0/+1 ordering of two non-NULL values; raises on type mixing."""
         if _is_number(left) and _is_number(right):
             return (left > right) - (left < right)
         if isinstance(left, str) and isinstance(right, str):
-            # CHAR padding: SQL compares ignoring trailing blanks.
-            ls, rs = left.rstrip(), right.rstrip()
+            # CHAR padding (PAD SPACE): SQL ignores trailing blanks, and
+            # only blanks — a trailing tab or newline is data.
+            ls, rs = left.rstrip(" "), right.rstrip(" ")
             return (ls > rs) - (ls < rs)
         left_dt = isinstance(left, (datetime.date, datetime.datetime))
         right_dt = isinstance(right, (datetime.date, datetime.datetime))
@@ -216,175 +292,237 @@ class Evaluator:
         raise TypeMismatchError(
             f"cannot compare {type(left).__name__} with {type(right).__name__}")
 
-    def _bool(self, expr: BoolOp, ctx: EvalContext) -> object:
+    def _bool(self, expr: BoolOp, env, outer) -> Compiled:
+        args = [self.compile(arg, env, outer) for arg in expr.args]
         if expr.op is BoolOpKind.AND:
+            def conjunction(row):
+                saw_unknown = False
+                for arg in args:
+                    value = arg(row)
+                    if value is False:
+                        return False
+                    if value is None:
+                        saw_unknown = True
+                return None if saw_unknown else True
+            return conjunction
+
+        def disjunction(row):
             saw_unknown = False
-            for arg in expr.args:
-                value = self.eval(arg, ctx)
-                if value is False:
-                    return False
+            for arg in args:
+                value = arg(row)
+                if value is True:
+                    return True
                 if value is None:
                     saw_unknown = True
-            return None if saw_unknown else True
-        saw_unknown = False
-        for arg in expr.args:
-            value = self.eval(arg, ctx)
-            if value is True:
-                return True
+            return None if saw_unknown else False
+        return disjunction
+
+    def _not(self, expr: Not, env, outer) -> Compiled:
+        operand = self.compile(expr.operand, env, outer)
+
+        def negation(row):
+            value = operand(row)
             if value is None:
-                saw_unknown = True
-        return None if saw_unknown else False
-
-    def _not(self, expr: Not, ctx: EvalContext) -> object:
-        value = self.eval(expr.operand, ctx)
-        if value is None:
-            return None
-        return not value
-
-    def _is_null(self, expr: IsNull, ctx: EvalContext) -> object:
-        value = self.eval(expr.operand, ctx)
-        result = value is None
-        return not result if expr.negated else result
-
-    def _in_list(self, expr: InList, ctx: EvalContext) -> object:
-        value = self.eval(expr.operand, ctx)
-        if value is None:
-            return None
-        saw_unknown = False
-        for item in expr.items:
-            item_value = self.eval(item, ctx)
-            verdict = self.compare(CompOp.EQ, value, item_value)
-            if verdict is True:
-                return False if expr.negated else True
-            if verdict is None:
-                saw_unknown = True
-        if saw_unknown:
-            return None
-        return True if expr.negated else False
-
-    def _between(self, expr: Between, ctx: EvalContext) -> object:
-        value = self.eval(expr.operand, ctx)
-        low = self.eval(expr.low, ctx)
-        high = self.eval(expr.high, ctx)
-        lo_ok = self.compare(CompOp.GE, value, low)
-        hi_ok = self.compare(CompOp.LE, value, high)
-        combined = _and3(lo_ok, hi_ok)
-        if combined is None:
-            return None
-        return not combined if expr.negated else combined
-
-    def _like(self, expr: Like, ctx: EvalContext) -> object:
-        value = self.eval(expr.operand, ctx)
-        pattern = self.eval(expr.pattern, ctx)
-        if value is None or pattern is None:
-            return None
-        if not isinstance(value, str) or not isinstance(pattern, str):
-            raise TypeMismatchError("LIKE requires text operands")
-        result = like_match(value, pattern, expr.escape)
-        return not result if expr.negated else result
-
-    def _func(self, expr: FuncCall, ctx: EvalContext) -> object:
-        args = [self.eval(arg, ctx) for arg in expr.args]
-        return fl.call_scalar(expr.name, args)
-
-    def _agg(self, expr: AggCall, ctx: EvalContext) -> object:
-        raise BackendError(
-            f"aggregate {expr.name} used outside GROUP BY context")
-
-    def _case(self, expr: Case, ctx: EvalContext) -> object:
-        operand = self.eval(expr.operand, ctx) if expr.operand is not None else None
-        for condition, result in zip(expr.conditions, expr.results):
-            if expr.operand is not None:
-                verdict = self.compare(CompOp.EQ, operand, self.eval(condition, ctx))
-            else:
-                verdict = self.eval(condition, ctx)
-            if verdict is True:
-                return self.eval(result, ctx)
-        if expr.default is not None:
-            return self.eval(expr.default, ctx)
-        return None
-
-    def _cast(self, expr: Cast, ctx: EvalContext) -> object:
-        value = self.eval(expr.operand, ctx)
-        return cast_value(value, expr.type)
-
-    def _extract(self, expr: Extract, ctx: EvalContext) -> object:
-        value = self.eval(expr.operand, ctx)
-        if value is None:
-            return None
-        if not isinstance(value, (datetime.date, datetime.datetime, datetime.time)):
-            raise TypeMismatchError("EXTRACT requires a temporal operand")
-        field = expr.field_name
-        if field is ExtractField.YEAR:
-            return value.year
-        if field is ExtractField.MONTH:
-            return value.month
-        if field is ExtractField.DAY:
-            return value.day
-        if field is ExtractField.HOUR:
-            return getattr(value, "hour", 0)
-        if field is ExtractField.MINUTE:
-            return getattr(value, "minute", 0)
-        return getattr(value, "second", 0)
-
-    #: id(SubqueryExpr) -> callable(ctx) -> value; installed by the executor
-    #: when it decorrelates a subquery into a hash lookup.
-    subquery_overrides: dict[int, Callable[[EvalContext], object]]
-
-    def _subquery(self, expr: SubqueryExpr, ctx: EvalContext) -> object:
-        override = getattr(self, "subquery_overrides", None)
-        if override:
-            handler = override.get(id(expr))
-            if handler is not None:
-                return handler(ctx)
-        if expr.kind is SubqueryKind.EXISTS:
-            __, rows = self._run_subquery(expr.plan, ctx)
-            result = bool(rows)
-            return not result if expr.negated else result
-        if expr.kind is SubqueryKind.SCALAR:
-            __, rows = self._run_subquery(expr.plan, ctx)
-            if not rows:
                 return None
-            if len(rows) > 1:
-                raise BackendError("scalar subquery returned more than one row")
-            if len(rows[0]) != 1:
-                raise BackendError("scalar subquery must return one column")
-            return rows[0][0]
+            return not value
+        return negation
+
+    def _is_null(self, expr: IsNull, env, outer) -> Compiled:
+        operand = self.compile(expr.operand, env, outer)
+        if expr.negated:
+            return lambda row: operand(row) is not None
+        return lambda row: operand(row) is None
+
+    def _in_list(self, expr: InList, env, outer) -> Compiled:
+        operand = self.compile(expr.operand, env, outer)
+        items = [self.compile(item, env, outer) for item in expr.items]
+        compare = self.compare
+        found = False if expr.negated else True
+
+        def in_list(row):
+            value = operand(row)
+            if value is None:
+                return None
+            saw_unknown = False
+            for item in items:
+                verdict = compare(CompOp.EQ, value, item(row))
+                if verdict is True:
+                    return found
+                if verdict is None:
+                    saw_unknown = True
+            if saw_unknown:
+                return None
+            return not found
+        return in_list
+
+    def _between(self, expr: Between, env, outer) -> Compiled:
+        operand = self.compile(expr.operand, env, outer)
+        low = self.compile(expr.low, env, outer)
+        high = self.compile(expr.high, env, outer)
+        compare = self.compare
+        negated = expr.negated
+
+        def between(row):
+            value = operand(row)
+            low_value = low(row)
+            high_value = high(row)
+            lo_ok = compare(CompOp.GE, value, low_value)
+            hi_ok = compare(CompOp.LE, value, high_value)
+            combined = _and3(lo_ok, hi_ok)
+            if combined is None:
+                return None
+            return not combined if negated else combined
+        return between
+
+    def _like(self, expr: Like, env, outer) -> Compiled:
+        operand = self.compile(expr.operand, env, outer)
+        pattern = self.compile(expr.pattern, env, outer)
+        escape = expr.escape
+        negated = expr.negated
+
+        def like(row):
+            value = operand(row)
+            pattern_value = pattern(row)
+            if value is None or pattern_value is None:
+                return None
+            if not isinstance(value, str) or not isinstance(pattern_value, str):
+                raise TypeMismatchError("LIKE requires text operands")
+            result = like_match(value, pattern_value, escape)
+            return not result if negated else result
+        return like
+
+    def _func(self, expr: FuncCall, env, outer) -> Compiled:
+        args = [self.compile(arg, env, outer) for arg in expr.args]
+        name = expr.name
+        call = fl.call_scalar
+        return lambda row: call(name, [arg(row) for arg in args])
+
+    def _agg(self, expr: AggCall, env, outer) -> Compiled:
+        return raising(BackendError,
+                       f"aggregate {expr.name} used outside GROUP BY context")
+
+    def _case(self, expr: Case, env, outer) -> Compiled:
+        branches = [(self.compile(condition, env, outer),
+                     self.compile(result, env, outer))
+                    for condition, result in zip(expr.conditions, expr.results)]
+        default = (self.compile(expr.default, env, outer)
+                   if expr.default is not None else None)
+        if expr.operand is None:
+            def searched_case(row):
+                for condition, result in branches:
+                    if condition(row) is True:
+                        return result(row)
+                return default(row) if default is not None else None
+            return searched_case
+
+        operand = self.compile(expr.operand, env, outer)
+        compare = self.compare
+
+        def simple_case(row):
+            value = operand(row)
+            for condition, result in branches:
+                if compare(CompOp.EQ, value, condition(row)) is True:
+                    return result(row)
+            return default(row) if default is not None else None
+        return simple_case
+
+    def _cast(self, expr: Cast, env, outer) -> Compiled:
+        operand = self.compile(expr.operand, env, outer)
+        target = expr.type
+        return lambda row: cast_value(operand(row), target)
+
+    def _extract(self, expr: Extract, env, outer) -> Compiled:
+        operand = self.compile(expr.operand, env, outer)
+        field = expr.field_name
+
+        def extract(row):
+            value = operand(row)
+            if value is None:
+                return None
+            if not isinstance(value, (datetime.date, datetime.datetime, datetime.time)):
+                raise TypeMismatchError("EXTRACT requires a temporal operand")
+            if field is ExtractField.YEAR:
+                return value.year
+            if field is ExtractField.MONTH:
+                return value.month
+            if field is ExtractField.DAY:
+                return value.day
+            if field is ExtractField.HOUR:
+                return getattr(value, "hour", 0)
+            if field is ExtractField.MINUTE:
+                return getattr(value, "minute", 0)
+            return getattr(value, "second", 0)
+        return extract
+
+    def _subquery(self, expr: SubqueryExpr, env, outer) -> Compiled:
+        bind = self.subquery_overrides.get(id(expr))
+        if bind is not None:
+            return bind(env, outer)
+        run = self._run_subquery
+        plan = expr.plan
+        negated = expr.negated
+        # The one place a context is built per row: the subquery's own
+        # operators compile against it as their outer scope.
+        if expr.kind is SubqueryKind.EXISTS:
+            def exists(row):
+                __, rows = run(plan, EvalContext(row, env, outer))
+                result = bool(rows)
+                return not result if negated else result
+            return exists
+        if expr.kind is SubqueryKind.SCALAR:
+            def scalar(row):
+                __, rows = run(plan, EvalContext(row, env, outer))
+                if not rows:
+                    return None
+                if len(rows) > 1:
+                    raise BackendError("scalar subquery returned more than one row")
+                if len(rows[0]) != 1:
+                    raise BackendError("scalar subquery must return one column")
+                return rows[0][0]
+            return scalar
         if expr.kind is SubqueryKind.IN:
-            return self._quantified(expr, ctx, CompOp.EQ, Quantifier.ANY)
+            return self._quantified(expr, env, outer, CompOp.EQ, Quantifier.ANY)
         # QUANTIFIED
         if len(expr.left) > 1 and not self._profile.vector_subquery:
-            raise BackendError(
-                "vector comparison in quantified subquery is not supported "
-                "by this system")
-        return self._quantified(expr, ctx, expr.op or CompOp.EQ,
+            return raising(BackendError,
+                           "vector comparison in quantified subquery is not "
+                           "supported by this system")
+        return self._quantified(expr, env, outer, expr.op or CompOp.EQ,
                                 expr.quantifier or Quantifier.ANY)
 
-    def _quantified(self, expr: SubqueryExpr, ctx: EvalContext,
-                    op: CompOp, quantifier: Quantifier) -> object:
-        left_values = [self.eval(item, ctx) for item in expr.left]
-        __, rows = self._run_subquery(expr.plan, ctx)
-        if len(rows) and len(rows[0]) != len(left_values):
-            raise BackendError(
-                f"subquery returns {len(rows[0])} columns, expected {len(left_values)}")
-        verdicts = [self._vector_compare(op, left_values, list(row)) for row in rows]
-        if quantifier is Quantifier.ANY:
-            if any(v is True for v in verdicts):
-                result: object = True
-            elif any(v is None for v in verdicts):
-                result = None
-            else:
-                result = False
-        else:  # ALL
-            if any(v is False for v in verdicts):
-                result = False
-            elif any(v is None for v in verdicts):
-                result = None
-            else:
-                result = True
-        if result is None:
-            return None
-        return not result if expr.negated else result
+    def _quantified(self, expr: SubqueryExpr, env, outer,
+                    op: CompOp, quantifier: Quantifier) -> Compiled:
+        left = [self.compile(item, env, outer) for item in expr.left]
+        run = self._run_subquery
+        plan = expr.plan
+        negated = expr.negated
+        vector_compare = self._vector_compare
+
+        def quantified(row):
+            left_values = [item(row) for item in left]
+            __, rows = run(plan, EvalContext(row, env, outer))
+            if len(rows) and len(rows[0]) != len(left_values):
+                raise BackendError(
+                    f"subquery returns {len(rows[0])} columns, expected {len(left_values)}")
+            verdicts = [vector_compare(op, left_values, list(inner)) for inner in rows]
+            if quantifier is Quantifier.ANY:
+                if any(v is True for v in verdicts):
+                    result: object = True
+                elif any(v is None for v in verdicts):
+                    result = None
+                else:
+                    result = False
+            else:  # ALL
+                if any(v is False for v in verdicts):
+                    result = False
+                elif any(v is None for v in verdicts):
+                    result = None
+                else:
+                    result = True
+            if result is None:
+                return None
+            return not result if negated else result
+        return quantified
 
     def _vector_compare(self, op: CompOp, left: list[object], right: list[object]) -> object:
         """Lexicographic vector comparison with SQL NULL semantics.
@@ -420,10 +558,10 @@ class Evaluator:
             result = _or3(result, all_eq)
         return result
 
-    _DISPATCH = {}
+    _COMPILERS = {}
 
 
-Evaluator._DISPATCH = {
+Evaluator._COMPILERS = {
     Const: Evaluator._const,
     ColumnRef: Evaluator._column,
     Param: Evaluator._param,
@@ -443,6 +581,42 @@ Evaluator._DISPATCH = {
     Extract: Evaluator._extract,
     SubqueryExpr: Evaluator._subquery,
 }
+
+
+# -- compiled-closure building blocks ---------------------------------------------
+
+def row_builder(parts: Sequence[Compiled]) -> Callable[[tuple], tuple]:
+    """One function from an input row to the tuple of *parts*' values,
+    evaluated left to right."""
+    parts = list(parts)
+    if len(parts) == 1:
+        only, = parts
+        return lambda row: (only(row),)
+    if len(parts) == 2:
+        first, second = parts
+        return lambda row: (first(row), second(row))
+    return lambda row: tuple([part(row) for part in parts])
+
+
+def hashable_row(row: tuple) -> tuple:
+    """A row as a hash key under SQL equality: integral floats fold to int
+    (``1 = 1.0``) and trailing blanks drop (PAD SPACE, blanks only)."""
+    return tuple([
+        int(value) if isinstance(value, float) and value.is_integer() else
+        value.rstrip(" ") if isinstance(value, str) else value
+        for value in row
+    ])
+
+
+def _outer_column(scope: EvalContext, index: int) -> Compiled:
+    return lambda row: scope.row[index]
+
+
+def raising(error: type, message: str) -> Compiled:
+    """A closure that raises a fresh *error* each time it is evaluated."""
+    def raise_error(row):
+        raise error(message)
+    return raise_error
 
 
 # -- helpers -------------------------------------------------------------------

@@ -301,8 +301,28 @@ class HyperQ:
         return 0
 
 
+def _resilience_event(resilience: ResilienceStats,
+                      tracker: Optional[FeatureTracker], faults,
+                      event: str, detail: dict) -> None:
+    """ODBC-layer observer: fold a resilience action into the engine's
+    counters, the workload tracker, and the fault schedule's event log
+    (so retries land next to the faults that provoked them). It holds
+    neither the session nor the engine: the session owns its ODBC server,
+    so either would close a reference cycle through it."""
+    resilience.note(event)
+    if tracker is not None:
+        tracker.note_resilience(event)
+    if faults is not None:
+        faults.record(event, **detail)
+
+
 class HyperQSession:
-    """One application connection through the virtualization layer."""
+    """One application connection through the virtualization layer.
+
+    :meth:`close` releases the session's engine: whoever still holds a
+    closed session (a connection registry, say) does not keep the
+    engine's graph — its database, caches and catalogs — alive with it.
+    """
 
     def __init__(self, engine: HyperQ):
         self.engine = engine
@@ -330,7 +350,9 @@ class HyperQSession:
                                faults=engine.faults,
                                replica=engine.replica,
                                retry=engine.retry,
-                               observer=self._resilience_event)
+                               observer=functools.partial(
+                                   _resilience_event, engine.resilience,
+                                   self.tracker, engine.faults))
         self.converter = ResultConverter(
             max_memory_bytes=engine.batch_budget.max_memory_bytes,
             spill_dir=engine.spill_dir)
@@ -645,6 +667,7 @@ class HyperQSession:
         if not self._closed:
             self._closed = True
             self.engine._session_closed()
+            self.engine = None
 
     # -- observability admin commands --------------------------------------------------
 
@@ -1009,18 +1032,6 @@ class HyperQSession:
                 serializer_for(self.engine.profile),
             )
         return self._probe_stack
-
-    # -- resilience ------------------------------------------------------------------
-
-    def _resilience_event(self, event: str, detail: dict) -> None:
-        """ODBC-layer observer: fold a resilience action into the engine's
-        counters, the workload tracker, and the fault schedule's event log
-        (so retries land next to the faults that provoked them)."""
-        self.engine.resilience.note(event)
-        if self.tracker is not None:
-            self.tracker.note_resilience(event)
-        if self.engine.faults is not None:
-            self.engine.faults.record(event, **detail)
 
     # -- helpers shared with emulators -----------------------------------------------
 

@@ -61,14 +61,18 @@ class Span:
     Spans form a tree through ``parent_id``; intervals are perf-counter
     offsets (seconds) relative to the trace's start, so children can be
     checked to nest within their parent without wall-clock skew.
+
+    A span refers to its trace weakly: the trace owns its spans, so a
+    finished trace that leaves its hub's ring is freed at once instead of
+    waiting, as a span/trace cycle, for a full garbage-collector pass.
     """
 
-    __slots__ = ("trace", "span_id", "parent_id", "name", "start", "end",
+    __slots__ = ("_trace", "span_id", "parent_id", "name", "start", "end",
                  "attrs", "events", "outcome", "__weakref__")
 
     def __init__(self, trace: "Trace", span_id: int, parent_id: Optional[int],
                  name: str, start: float):
-        self.trace = trace
+        self._trace = weakref.ref(trace)
         self.span_id = span_id
         self.parent_id = parent_id
         self.name = name
@@ -77,6 +81,12 @@ class Span:
         self.attrs: dict[str, object] = {}
         self.events: list[tuple[str, dict]] = []
         self.outcome = "ok"
+
+    @property
+    def trace(self) -> Optional["Trace"]:
+        """The owning trace; None once nothing holds it any more (it has
+        finished, so no span may be added to it anyway)."""
+        return self._trace()
 
     @property
     def duration(self) -> float:
@@ -92,8 +102,9 @@ class Span:
         self.events.append((name, attrs))
 
     def finish(self, outcome: Optional[str] = None) -> None:
-        if self.end is None:
-            self.end = self.trace.clock()
+        trace = self._trace()
+        if self.end is None and trace is not None:
+            self.end = trace.clock()
         if outcome is not None:
             self.outcome = outcome
 
@@ -266,9 +277,7 @@ class span:
         self._attrs = attrs
 
     def __enter__(self) -> Optional[Span]:
-        parent = _ACTIVE.get()
-        child = self._child = (parent.trace.new_span(self._name, parent)
-                               if parent is not None else None)
+        child = self._child = _new_child(self._name)
         if child is not None:
             if self._attrs:
                 child.attrs.update(self._attrs)
@@ -286,14 +295,19 @@ class span:
             _ACTIVE.reset(self._token)
 
 
+def _new_child(name: str, start: Optional[float] = None) -> Optional[Span]:
+    """A new child of the active span, or None when nothing is traced or
+    the trace has finished (or is already gone)."""
+    parent = _ACTIVE.get()
+    trace = parent._trace() if parent is not None else None
+    return trace.new_span(name, parent, start) if trace is not None else None
+
+
 def begin_span(name: str, **attrs: object) -> Optional[Span]:
     """Open a child span that an explicit :meth:`Span.finish` will close —
     for intervals that end on a different thread (queue wait) or inside a
     lazy generator (result conversion)."""
-    parent = _ACTIVE.get()
-    if parent is None:
-        return None
-    child = parent.trace.new_span(name, parent)
+    child = _new_child(name)
     if child is not None and attrs:
         child.attrs.update(attrs)
     return child
@@ -310,10 +324,7 @@ def add_event(name: str, **attrs: object) -> None:
 def add_span(name: str, start: float, end: float, **attrs: object) -> None:
     """Record an already-measured child interval under the active span
     (per-rule transform spans are timed at pass granularity)."""
-    parent = _ACTIVE.get()
-    if parent is None:
-        return
-    child = parent.trace.new_span(name, parent, start=start)
+    child = _new_child(name, start)
     if child is None:
         return
     if attrs:

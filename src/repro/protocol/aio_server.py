@@ -158,6 +158,9 @@ class AioHyperQServer:
                 if self._aserver is not None:
                     self._aserver.close()
                     loop.run_until_complete(self._aserver.wait_closed())
+                    # Its protocol factory holds _serve_client: drop the
+                    # cycle so a stopped server frees by refcount alone.
+                    self._aserver = None
                 tasks = asyncio.all_tasks(loop)
                 for task in tasks:
                     task.cancel()

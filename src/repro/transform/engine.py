@@ -116,7 +116,8 @@ class Transformer:
         """
         if not self._rules:
             return statement
-        tracing = trace_mod.current_span() is not None
+        trace = trace_mod.current_trace()
+        tracing = trace is not None
         passes = 0
         while True:
             passes += 1
@@ -127,8 +128,7 @@ class Transformer:
             ctx = RuleContext(self._profile, self._tracker)
             before_digest = (trace_mod.xtra_digest(statement)
                              if tracing else "")
-            pass_start = (trace_mod.current_span().trace.clock()
-                          if tracing else 0.0)
+            pass_start = trace.clock() if tracing else 0.0
 
             def scalar_fn(expr: ScalarExpr) -> ScalarExpr:
                 for rule in self._rules:
@@ -142,7 +142,7 @@ class Transformer:
 
             rewrite_statement(statement, rel_fn, scalar_fn)
             if tracing and ctx.fired_rules:
-                pass_end = trace_mod.current_span().trace.clock()
+                pass_end = trace.clock()
                 after_digest = trace_mod.xtra_digest(statement)
                 for rule_name in ctx.fired_rules:
                     trace_mod.add_span(

@@ -11,9 +11,11 @@ text, a missing frame) is a client-visible protocol change.
 
 from __future__ import annotations
 
+import gc
 import socket
 import struct
 import time
+import weakref
 
 import pytest
 
@@ -64,6 +66,20 @@ def _frames(reply: bytes) -> list[tuple[int, bytes]]:
                                 offset + HEADER.size + length]))
         offset += HEADER.size + length
     return out
+
+
+class _KeepsSessions(HyperQ):
+    """An engine that keeps every session it hands out, as a connection
+    registry or an accounting wrapper would."""
+
+    def __init__(self):
+        super().__init__()
+        self.sessions = []
+
+    def create_session(self):
+        session = super().create_session()
+        self.sessions.append(session)
+        return session
 
 
 def _seed_table(engine, rows: int) -> None:
@@ -247,6 +263,32 @@ class TestCancellation:
                     f"{server.active_pulls} executor pulls leaked"
         finally:
             thread.stop()
+
+    @pytest.mark.parametrize("thread_cls", [ServerThread, AioServerThread],
+                             ids=["threaded", "async"])
+    def test_stopped_server_frees_its_engine_without_the_collector(
+            self, thread_cls):
+        """No reference cycle holds the engine once its server has stopped
+        — not the server, not the sessions it closed, even when something
+        still keeps those sessions — so refcounting alone frees it."""
+        engine = _KeepsSessions()
+        _seed_table(engine, rows=10)
+        gc.disable()
+        try:
+            thread = thread_cls(engine)
+            host, port = thread.start()
+            with TdClient(host, port) as client:
+                assert client.execute("SEL N FROM BIGSTREAM WHERE N = 3"
+                                      ).rows == [(3,)]
+            thread.stop()
+            assert _settle(lambda: engine.open_session_count == 0)
+            gone = [weakref.ref(engine),
+                    *(weakref.ref(s) for s in engine.sessions)]
+            del engine, thread
+            assert _settle(lambda: all(ref() is None for ref in gone)), \
+                "engine or session kept alive"
+        finally:
+            gc.enable()
 
     def test_session_survives_for_next_request_after_failure(self):
         """After a mid-stream FAILURE the async connection keeps serving:

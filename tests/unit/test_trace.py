@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import threading
+import weakref
 
 import pytest
 
@@ -29,6 +31,27 @@ class TestSpanTree:
         inner = trace.spans[2]
         assert inner.attrs["depth"] == 2
         assert inner.events == [("tick", {"n": 1})]
+
+    def test_evicted_trace_is_freed_without_the_cycle_collector(self):
+        hub = TraceHub(ring_size=1)
+        with hub.request("request", "SEL 1") as first:
+            with trace_mod.span("child"):
+                pass
+            straggler = trace_mod.begin_span("late")
+        gone = weakref.ref(first)
+        del first
+        gc.disable()
+        try:
+            with hub.request("request", "SEL 2"):
+                pass
+            assert gone() is None
+        finally:
+            gc.enable()
+        # A span that outlived its trace is inert, not an error.
+        straggler.finish()
+        with trace_mod.activate(straggler):
+            assert trace_mod.begin_span("after") is None
+            assert trace_mod.current_trace() is None
 
     def test_no_active_trace_means_noop(self):
         with trace_mod.span("orphan") as span:
