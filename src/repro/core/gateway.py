@@ -721,10 +721,17 @@ class Gateway:
         host, port = self._listen.getsockname()[:2]
         return str(host), int(port)
 
-    def stop(self) -> None:
+    def _stop_accepting(self) -> None:
+        """Stop the accept and monitor threads."""
         self._stopping.set()
         self._wake_monitor.set()
         if self._listen is not None:
+            # close() alone does not wake a thread blocked in accept() on
+            # Linux; shutdown() does.
+            try:
+                self._listen.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listen.close()
             except OSError:
@@ -733,6 +740,9 @@ class Gateway:
             self._accept_thread.join(timeout=5)
         if self._monitor_thread is not None:
             self._monitor_thread.join(timeout=5)
+
+    def stop(self) -> None:
+        self._stop_accepting()
         with self._lock:
             handles = list(self._workers.values())
             self._workers.clear()
@@ -780,17 +790,7 @@ class Gateway:
         immediately, busy ones ship their current reply — and the process
         exits on its own. Returns ``{worker_index: "drained" | "killed"}``.
         """
-        self._stopping.set()
-        self._wake_monitor.set()
-        if self._listen is not None:
-            try:
-                self._listen.close()
-            except OSError:
-                pass
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5)
-        if self._monitor_thread is not None:
-            self._monitor_thread.join(timeout=5)
+        self._stop_accepting()
         with self._lock:
             handles = list(self._workers.values())
             self._workers.clear()

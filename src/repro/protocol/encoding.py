@@ -8,12 +8,16 @@ including Teradata's internal integer DATE encoding
 ``(year-1900)*10000 + month*100 + day``.
 
 This is the hottest byte-bashing loop in the proxy (every result row of every
-request funnels through :func:`encode_rows`), so the per-type ``struct`` calls
-are precompiled into module-level :class:`struct.Struct` instances and row
-encoding is batched: one growing buffer per chunk, record lengths patched in
-place, and per-column encoder dispatch resolved once per batch instead of
-once per value. Decoding reads through a :class:`memoryview` so bitmap and
-payload access never copies the chunk.
+request funnels through :func:`encode_rows`), so :class:`RowCodec` generates
+an encoder and a decoder per column layout, batched over one growing buffer
+per chunk. A NULL-free record is packed by runs: each run of consecutive
+fixed-width columns (numbers, BOOLEAN, and DATE as its integer) is one
+precompiled :class:`struct.Struct` call, with the strings written between the
+runs. The decoder takes that path when a record's bitmap is zero, and decodes
+strings from a ``bytes`` copy of the chunk. Each codec memoises its DATE
+conversions, within a bound. Records with NULLs, and rows the fast
+path cannot pack, take a per-column body that mirrors
+:func:`encode_rows_reference`, the format's specification.
 """
 
 from __future__ import annotations
@@ -359,11 +363,22 @@ def decode_rows_reference(metas: list[ColumnMeta], blob: bytes) -> list[tuple]:
 #
 # encode_rows()/decode_rows() funnel every result row of every request, so the
 # interpretive per-value dispatch above is replaced on the hot path by
-# per-schema functions generated once per column layout: straight-line code
-# with the struct packers bound as locals, NULL bits accumulated in a plain
-# int, and — for all-numeric schemas — a single whole-record struct.Struct
-# fast path that packs length prefix, zero bitmap, and every column in one
-# call. Decoding walks a memoryview and never copies fixed-width payloads.
+# per-schema functions generated once per column layout.
+#
+# A NULL-free record takes a fast path. Its columns split into runs of
+# consecutive fixed-width columns, and each run is packed (or unpacked) by one
+# precompiled struct.Struct, together with the u16 length of the string that
+# follows it. The first run's Struct also carries the record length and the
+# bitmap: the encoder encodes the strings first, so the length is known
+# before anything is written, and the decoder takes the fast path only when
+# the bitmap it read is zero. Strings are decoded from a bytes copy of the
+# chunk, which is cheaper per value than a memoryview.
+#
+# Records with NULLs take the general per-column body. So does any NULL-free
+# row the fast path cannot pack (a float in an INTEGER column, an int in a
+# VARCHAR, an out-of-range value): the partial record is cut off and the
+# general body, which mirrors the reference encoder value for value, writes
+# the reference's bytes or raises the reference's error.
 
 def _date_wire(value: object) -> int:
     if isinstance(value, datetime.datetime):
@@ -380,15 +395,59 @@ def _timestamp_wire(value: object) -> bytes:
     return value.isoformat(sep=" ").encode("ascii")
 
 
-# Fixed-width numeric columns eligible for the whole-record struct fast path.
-# BOOLEAN is excluded (the wire writes `1 if value else 0`, not the raw int)
-# and DATE is excluded (needs the Teradata integer conversion).
+# A result holds few distinct dates (TPC-H's LINEITEM ~2.5k), so each codec
+# memoises both DATE conversions: date -> Teradata integer on encode, integer
+# -> date on decode. A memo is cleared when it reaches this many entries,
+# which bounds its memory.
+_DATE_MEMO_MAX = 4096
+
+
+class _DateMemo(dict):
+    """A conversion memo that fills itself on a miss and clears when full."""
+
+    __slots__ = ("convert",)
+
+    def __init__(self, convert):
+        super().__init__()
+        self.convert = convert
+
+    def __missing__(self, key):
+        # Codecs are shared by server threads. Unlocked, a race can only
+        # store a value twice or leave the memo a few entries over the cap.
+        value = self.convert(key)  # a bad value raises and is not stored
+        if len(self) >= _DATE_MEMO_MAX:
+            self.clear()
+        self[key] = value
+        return value
+
+
+# Struct codes of the fixed-width columns a run may hold. Each packs what the
+# reference encoder writes: DATE goes in as its Teradata integer, and "?"
+# stores 1 for a true value and 0 otherwise, as `1 if value else 0` does.
 _FIXED_CHAR = {
     CODE_SMALLINT: "h",
     CODE_INTEGER: "i",
     CODE_BIGINT: "q",
     CODE_FLOAT: "d",
     CODE_DECIMAL: "d",
+    CODE_DATE: "i",
+    CODE_BOOLEAN: "?",
+}
+
+# Fast-path payload of the variable-width columns, as a format of the value
+# (encode) or of its decoded text (decode). str.encode raises on a non-str
+# value, which sends the row to the general body and its str() conversion.
+_VAR_ENCODE = {
+    CODE_CHAR: "senc({})",
+    CODE_VARCHAR: "senc({})",
+    CODE_TIMESTAMP: "tswire({})",
+    CODE_TIME: "{}.isoformat().encode('ascii')",
+}
+_VAR_DECODE = {
+    CODE_CHAR: "{}",
+    CODE_VARCHAR: "{}",
+    CODE_TIMESTAMP: "ts_parse({})",
+    CODE_TIME: "t_parse({})",
 }
 
 _CODEGEN_GLOBALS = {
@@ -398,16 +457,36 @@ _CODEGEN_GLOBALS = {
     "u64": _S_I64.unpack_from, "uf": _S_F64.unpack_from,
     "uu16": _S_U16.unpack_from, "ulen": _S_U32.unpack_from,
     "pklen": _S_U32.pack_into,
-    "dwire": _date_wire, "tswire": _timestamp_wire,
+    "dwire": _date_wire, "tswire": _timestamp_wire, "senc": str.encode,
     "ts_parse": datetime.datetime.fromisoformat,
     "t_parse": datetime.time.fromisoformat,
-    "d_from": teradata_int_to_date,
-    "CErr": ConversionError,
-    "_SE": struct.error, "TypeError": TypeError,
+    "CErr": ConversionError, "Exception": Exception,
     "isinstance": isinstance, "str": str, "len": len,
     "int": int, "float": float, "bool": bool,
     "__builtins__": {},
 }
+
+
+def _segments(codes: tuple[int, ...]) -> list[tuple[list[int], int | None]]:
+    """Split a NULL-free record into ``(run, var)`` segments: the indices of
+    a run of fixed-width columns, then the index of the variable-width column
+    after it (``None`` for the run that ends the record)."""
+    segments: list[tuple[list[int], int | None]] = []
+    run: list[int] = []
+    for index, code in enumerate(codes):
+        if code in _FIXED_CHAR:
+            run.append(index)
+        else:
+            segments.append((run, index))
+            run = []
+    segments.append((run, None))
+    return segments
+
+
+def _segment_format(codes: tuple[int, ...], run: list[int],
+                    var: int | None) -> str:
+    return "".join(_FIXED_CHAR[codes[i]] for i in run) \
+        + ("H" if var is not None else "")
 
 
 def _enc_value_lines(code: int) -> list[str]:
@@ -438,51 +517,63 @@ def _enc_value_lines(code: int) -> list[str]:
 
 def _dec_value_lines(code: int, i: int) -> list[str]:
     if code == CODE_SMALLINT:
-        return [f"v{i} = u16(view, cur)[0]", "cur += 2"]
+        return [f"v{i} = u16(buf, cur)[0]", "cur += 2"]
     if code == CODE_INTEGER:
-        return [f"v{i} = u32i(view, cur)[0]", "cur += 4"]
+        return [f"v{i} = u32i(buf, cur)[0]", "cur += 4"]
     if code == CODE_BIGINT:
-        return [f"v{i} = u64(view, cur)[0]", "cur += 8"]
+        return [f"v{i} = u64(buf, cur)[0]", "cur += 8"]
     if code in (CODE_FLOAT, CODE_DECIMAL):
-        return [f"v{i} = uf(view, cur)[0]", "cur += 8"]
+        return [f"v{i} = uf(buf, cur)[0]", "cur += 8"]
     if code in (CODE_CHAR, CODE_VARCHAR):
-        return ["n = uu16(view, cur)[0]", "cur += 2",
-                f"v{i} = str(view[cur:cur + n], 'utf-8')", "cur += n"]
+        return ["n = uu16(buf, cur)[0]", "cur += 2",
+                f"v{i} = buf[cur:cur + n].decode()", "cur += n"]
     if code == CODE_DATE:
-        return [f"v{i} = d_from(u32i(view, cur)[0])", "cur += 4"]
+        return [f"v{i} = dd[u32i(buf, cur)[0]]", "cur += 4"]
     if code == CODE_TIMESTAMP:
-        return ["n = uu16(view, cur)[0]", "cur += 2",
-                f"v{i} = ts_parse(str(view[cur:cur + n], 'utf-8'))", "cur += n"]
+        return ["n = uu16(buf, cur)[0]", "cur += 2",
+                f"v{i} = ts_parse(buf[cur:cur + n].decode())", "cur += n"]
     if code == CODE_BOOLEAN:
-        return [f"v{i} = bool(view[cur])", "cur += 1"]
+        return [f"v{i} = bool(buf[cur])", "cur += 1"]
     if code == CODE_TIME:
-        return ["n = uu16(view, cur)[0]", "cur += 2",
-                f"v{i} = t_parse(str(view[cur:cur + n], 'utf-8'))", "cur += n"]
+        return ["n = uu16(buf, cur)[0]", "cur += 2",
+                f"v{i} = t_parse(buf[cur:cur + n].decode())", "cur += n"]
     raise ConversionError(f"unknown wire type code {code}")
 
 
-def _compile_encode(codes: tuple[int, ...]):
+def _compile_encode(codes: tuple[int, ...], date_to_wire: _DateMemo):
     ncols = len(codes)
     bitmap_len = (ncols + 7) // 8
-    chars = [_FIXED_CHAR.get(code) for code in codes]
-    fast = ncols > 0 and all(chars)
-    lines = ["def _encode_batch(rows, out):"]
-    if fast:
-        # All-numeric schema: one struct call packs length prefix, zeroed
-        # bitmap ('x' pads), and every column. Rows with NULLs or values the
-        # format rejects (float in an int column) fall back to the general
-        # body below, which matches the reference encoder exactly.
-        lines += [
-            " for row in rows:",
-            "  if None not in row:",
-            "   try:",
-            "    out += fpack(_RL, *row)",
-            "    continue",
-            "   except (_SE, TypeError):",
-            "    pass",
-        ]
-    else:
-        lines += [" for row in rows:"]
+    namespace = dict(_CODEGEN_GLOBALS, dw=date_to_wire)
+    lines = ["def _encode_batch(rows, out):", " for row in rows:"]
+    if ncols:
+        segments = _segments(codes)
+        variable = [var for __, var in segments[:-1]]
+        names = "".join(f"c{i}, " for i in range(ncols))
+        fast = ["base = len(out)", "try:", f" {names}= row"]
+        for i in variable:
+            encode = _VAR_ENCODE[codes[i]].format(f"c{i}")
+            fast += [f" b{i} = {encode}", f" n{i} = len(b{i})"]
+        fixed = -4  # the record length counts what follows it
+        for k, (run, var) in enumerate(segments):
+            fmt = _segment_format(codes, run, var)
+            args = [f"dw[c{i}]" if codes[i] == CODE_DATE else f"c{i}"
+                    for i in run]
+            if var is not None:
+                args.append(f"n{var}")
+            if k == 0:
+                fmt = "I" + "x" * bitmap_len + fmt
+                args.insert(0, " + ".join(
+                    ["_FIX"] + [f"n{i}" for i in variable]))
+            if fmt:
+                packer = struct.Struct("<" + fmt)
+                namespace[f"s{k}"] = packer.pack
+                fixed += packer.size
+                fast.append(f" out += s{k}({', '.join(args)})")
+            if var is not None:
+                fast.append(f" out += b{var}")
+        namespace["_FIX"] = fixed
+        fast += [" continue", "except Exception:", " del out[base:]"]
+        lines += ["  if None not in row:"] + ["   " + line for line in fast]
     b = "  "
     lines += [b + "base = len(out)", b + "out += _PREFIX", b + "m = 0"]
     for i, code in enumerate(codes):
@@ -496,43 +587,62 @@ def _compile_encode(codes: tuple[int, ...]):
                   b + f" out[base + 4:base + {4 + bitmap_len}]"
                       f" = m.to_bytes({bitmap_len}, 'little')"]
     lines += [b + "pklen(out, base, len(out) - base - 4)"]
-    namespace = dict(_CODEGEN_GLOBALS)
     namespace["_PREFIX"] = bytes(4 + bitmap_len)
-    if fast:
-        packer = struct.Struct("<I" + "x" * bitmap_len + "".join(chars))
-        namespace["fpack"] = packer.pack
-        namespace["_RL"] = packer.size - 4
     exec("\n".join(lines), namespace)
     return namespace["_encode_batch"]
 
 
-def _compile_decode(codes: tuple[int, ...]):
+def _compile_decode(codes: tuple[int, ...], wire_to_date: _DateMemo):
     ncols = len(codes)
     bitmap_len = (ncols + 7) // 8
-    chars = [_FIXED_CHAR.get(code) for code in codes]
-    fast = ncols > 0 and all(chars)
-    lines = ["def _decode_batch(view):",
+    namespace = dict(_CODEGEN_GLOBALS, dd=wire_to_date)
+    lines = ["def _decode_batch(buf):",
              " rows = []",
              " append = rows.append",
              " off = 0",
-             " total = len(view)",
-             " while off < total:",
-             "  reclen = ulen(view, off)[0]",
-             "  off += 4",
-             "  end = off + reclen"]
-    if fast:
-        # A full-length record of an all-numeric schema can only be
-        # NULL-free (NULLs shrink the record), so one unpack yields the row.
-        lines += [
-            "  if reclen == _RL and end <= total:",
-            "   vals = funpack(view, off - 4)",
-            "   if vals[1] == _ZB:",
-            "    append(vals[2:])",
-            "    off = end",
-            "    continue",
-        ]
+             " total = len(buf)",
+             " while off < total:"]
+    if ncols:
+        # The first Struct reads the record length, the bitmap and the first
+        # run; the rest of the fast path runs only when the bitmap is zero.
+        for k, (run, var) in enumerate(_segments(codes)):
+            fmt = _segment_format(codes, run, var)
+            names = "".join(f"v{i}, " for i in run) \
+                + ("n, " if var is not None else "")
+            if k == 0:
+                head = struct.Struct("<I%ds" % bitmap_len + fmt)
+                namespace["s0"] = head.unpack_from
+                lines += [f"  if off + {head.size} <= total:",
+                          f"   reclen, m, {names}= s0(buf, off)",
+                          "   if m == _ZB:",
+                          "    end = off + 4 + reclen",
+                          "    if end > total:",
+                          "     raise CErr('corrupt record: truncated')",
+                          f"    cur = off + {head.size}"]
+            elif fmt:
+                unpacker = struct.Struct("<" + fmt)
+                namespace[f"s{k}"] = unpacker.unpack_from
+                lines += [f"    {names}= s{k}(buf, cur)",
+                          f"    cur += {unpacker.size}"]
+            if var is not None:
+                value = _VAR_DECODE[codes[var]].format(
+                    "buf[cur:cur + n].decode()")
+                lines += [f"    v{var} = {value}", "    cur += n"]
+        values = "".join(f"dd[v{i}], " if code == CODE_DATE else f"v{i}, "
+                         for i, code in enumerate(codes))
+        lines += ["    if cur != end:",
+                  "     raise CErr('corrupt record: trailing bytes')",
+                  f"    append(({values}))",
+                  "    off = end",
+                  "    continue"]
+        namespace["_ZB"] = bytes(bitmap_len)
+    lines += ["  reclen = ulen(buf, off)[0]",
+              "  off += 4",
+              "  end = off + reclen",
+              "  if end > total:",
+              "   raise CErr('corrupt record: truncated')"]
     if bitmap_len:
-        lines += [f"  m = int.from_bytes(view[off:off + {bitmap_len}],"
+        lines += [f"  m = int.from_bytes(buf[off:off + {bitmap_len}],"
                   " 'little')"]
     else:
         lines += ["  m = 0"]
@@ -540,19 +650,12 @@ def _compile_decode(codes: tuple[int, ...]):
     for i, code in enumerate(codes):
         lines += [f"  if m & {1 << i}:", f"   v{i} = None", "  else:"]
         lines += ["   " + line for line in _dec_value_lines(code, i)]
-    row_items = ", ".join(f"v{i}" for i in range(ncols))
-    trailing = "," if ncols == 1 else ""
+    values = "".join(f"v{i}, " for i in range(ncols))
     lines += ["  if cur != end:",
               "   raise CErr('corrupt record: trailing bytes')",
-              f"  append(({row_items}{trailing}))",
+              f"  append(({values}))",
               "  off = end",
               " return rows"]
-    namespace = dict(_CODEGEN_GLOBALS)
-    if fast:
-        unpacker = struct.Struct("<I%ds%s" % (bitmap_len, "".join(chars)))
-        namespace["funpack"] = unpacker.unpack_from
-        namespace["_RL"] = unpacker.size - 4
-        namespace["_ZB"] = bytes(bitmap_len)
     exec("\n".join(lines), namespace)
     return namespace["_decode_batch"]
 
@@ -564,15 +667,18 @@ class RowCodec:
     grab one codec per result set and reuse it for every chunk.
     """
 
-    __slots__ = ("codes", "encode_into", "decode_view")
+    __slots__ = ("codes", "date_to_wire", "wire_to_date", "encode_into",
+                 "decode_bytes")
 
     def __init__(self, codes: tuple[int, ...]):
         for code in codes:
             if code not in _ENCODERS:
                 raise ConversionError(f"unknown wire type code {code}")
         self.codes = codes
-        self.encode_into = _compile_encode(codes)
-        self.decode_view = _compile_decode(codes)
+        self.date_to_wire = _DateMemo(_date_wire)
+        self.wire_to_date = _DateMemo(teradata_int_to_date)
+        self.encode_into = _compile_encode(codes, self.date_to_wire)
+        self.decode_bytes = _compile_decode(codes, self.wire_to_date)
 
     @classmethod
     def for_codes(cls, codes: tuple[int, ...]) -> "RowCodec":
@@ -594,7 +700,7 @@ class RowCodec:
         return bytes(out)
 
     def decode(self, blob) -> list[tuple]:
-        return self.decode_view(memoryview(blob))
+        return self.decode_bytes(bytes(blob))
 
 
 _CODEC_CACHE: dict[tuple[int, ...], RowCodec] = {}

@@ -213,3 +213,14 @@ class TestSharedCacheTier:
         # wildcard bump clears the rest
         assert store.invalidate(("*",)) == 2
         assert len(store) == 0
+
+
+class TestShutdown:
+    def test_stop_wakes_the_accept_loop(self):
+        gw = Gateway(GatewayConfig(workers=1))
+        gw.start()
+        accept_thread = gw._accept_thread
+        started = time.monotonic()
+        gw.stop()
+        assert time.monotonic() - started < 1.0
+        assert not accept_thread.is_alive()
