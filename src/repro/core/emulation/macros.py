@@ -15,6 +15,7 @@ import re
 from typing import TYPE_CHECKING
 
 from repro.errors import EmulationError
+from repro.core.catalog import MacroDef
 from repro.core.timing import RequestTiming
 from repro.xtra import relational as r
 from repro.xtra import scalars as s
@@ -61,21 +62,28 @@ def expand(session: "HyperQSession", bound: r.ExecMacro) -> str:
     return _PARAM_RE.sub(substitute, macro.body_sql)
 
 
-def run(session: "HyperQSession", bound: r.ExecMacro,
+def run(session: "HyperQSession", bound: r.Statement,
         timing: RequestTiming) -> "HQResult":
+    """CREATE / DROP MACRO keep the definition in the shadow catalog; EXEC
+    runs the expanded body."""
     from repro.core.engine import HQResult
 
+    shadow = session.engine.shadow
+    if isinstance(bound, r.CreateMacro):
+        shadow.add_macro(MacroDef(bound.name, bound.parameters, bound.body_sql),
+                         replace=bound.replace)
+        return HQResult(kind="ok", timing=timing)
+    if isinstance(bound, r.DropMacro):
+        shadow.drop_macro(bound.name)
+        return HQResult(kind="ok", timing=timing)
     body_sql = expand(session, bound)
     with timing.measure("translation"):
         statements = session.parser.parse_script(body_sql)
     if not statements:
         raise EmulationError(f"macro {bound.name} has an empty body")
-    last: HQResult | None = None
     rows_result: HQResult | None = None
     for ast in statements:
-        with timing.measure("translation"):
-            inner = session.binder.bind(ast)
-        last = session._dispatch(inner, ast, timing)
+        last = session.run_nested(ast, timing)
         if last.kind == "rows":
             rows_result = last
-    return rows_result or last or HQResult(kind="ok", timing=timing)
+    return rows_result or last

@@ -82,15 +82,8 @@ def run(session: "HyperQSession", statement: r.Merge,
 
     affected = 0
     target_sql: list[str] = []
-    update = build_update(statement)
-    if update is not None:
-        result = session.run_translated(update, timing)
-        affected += result.rowcount
-        target_sql.extend(result.target_sql)
-    insert = build_insert(statement)
-    if insert is not None:
-        result = session.run_translated(insert, timing)
-        affected += result.rowcount
-        target_sql.extend(result.target_sql)
+    for step in (build_update(statement), build_insert(statement)):
+        if step is not None:
+            affected += session.run_step(step, timing, target_sql)
     return HQResult(kind="count", rowcount=affected, timing=timing,
                     target_sql=target_sql)

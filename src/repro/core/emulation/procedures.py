@@ -16,6 +16,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.errors import EmulationError
 from repro.backend.expressions import Env, EvalContext, Evaluator
+from repro.core.catalog import ProcedureDef
 from repro.core.timing import RequestTiming
 from repro.frontend.teradata import ast as a
 from repro.transform.capabilities import TERADATA
@@ -118,19 +119,15 @@ class _Interpreter:
         raise EmulationError(
             f"unsupported procedure statement {type(statement).__name__}")
 
-    def _run_sql(self, ast_statement: a.TdStatement, frame: _Frame) -> None:
+    def _run(self, ast_statement: a.TdStatement, frame: _Frame) -> "HQResult":
         prepared = _substitute_statement(copy.deepcopy(ast_statement), frame)
-        with self.timing.measure("translation"):
-            bound = self.session.binder.bind(prepared)
-        self.last_result = self.session._dispatch(bound, prepared, self.timing)
+        return self.session.run_nested(prepared, self.timing)
+
+    def _run_sql(self, ast_statement: a.TdStatement, frame: _Frame) -> None:
+        self.last_result = self._run(ast_statement, frame)
 
     def _run_select_into(self, statement: a.TdSelectInto, frame: _Frame) -> None:
-        query = a.TdQuery(statement.select)
-        prepared = _substitute_statement(copy.deepcopy(query), frame)
-        with self.timing.measure("translation"):
-            bound = self.session.binder.bind(prepared)
-        result = self.session._dispatch(bound, prepared, self.timing)
-        rows = result.rows
+        rows = self._run(a.TdQuery(statement.select), frame).rows
         if len(rows) != 1:
             raise EmulationError(
                 f"SELECT INTO expected exactly one row, got {len(rows)}")
@@ -232,12 +229,22 @@ def _substitute_statement(statement: a.TdStatement, frame: _Frame) -> a.TdStatem
     return statement
 
 
-def run(session: "HyperQSession", bound: r.CallProcedure,
+def run(session: "HyperQSession", bound: r.Statement,
         timing: RequestTiming) -> "HQResult":
-    """CALL: interpret the stored procedure body."""
+    """CREATE / DROP PROCEDURE keep the definition in the shadow catalog;
+    CALL interprets the stored procedure body."""
     from repro.core.engine import HQResult
 
-    procedure = session.engine.shadow.procedure(bound.name)
+    shadow = session.engine.shadow
+    if isinstance(bound, r.CreateProcedure):
+        shadow.add_procedure(
+            ProcedureDef(bound.name, bound.parameters, bound.body),
+            replace=bound.replace)
+        return HQResult(kind="ok", timing=timing)
+    if isinstance(bound, r.DropProcedure):
+        shadow.drop_procedure(bound.name)
+        return HQResult(kind="ok", timing=timing)
+    procedure = shadow.procedure(bound.name)
     frame = _Frame()
     interpreter = _Interpreter(session, timing)
     parameters = procedure.parameters

@@ -62,29 +62,24 @@ def run(session: "HyperQSession", bound: r.Query,
     cleanup: list[str] = []
     target_sql: list[str] = []
     try:
-        body = plan.body
         for cte in plan.ctes:
             cte_plan = _apply_redirects(cte.plan, redirects)
-            if not cte.recursive:
+            if cte.recursive:
+                schema = _run_recursive(session, cte, cte_plan, timing,
+                                        cleanup, target_sql)
+            else:
                 # Non-recursive CTE: materialize once into a temp table.
-                schema = _materialize(session, cte.name, cte_plan, timing,
-                                      cleanup, target_sql, cte.column_names)
-                redirects[cte.name.upper()] = schema
-                continue
-            schema = _run_recursive(session, cte, cte_plan, timing, cleanup,
-                                    target_sql, redirects)
+                schema = _temp_schema(session, cte.name, cte_plan,
+                                      cte.column_names)
+                _create_temp_as(session, schema, cte_plan, timing, cleanup,
+                                target_sql)
             redirects[cte.name.upper()] = schema
-        body = _apply_redirects(body, redirects)
-        final = r.Query(body)
+        final = r.Query(_apply_redirects(plan.body, redirects))
         result = session.run_translated(final, timing)
         result.target_sql = target_sql + result.target_sql
         return result
     finally:
-        for name in cleanup:
-            try:
-                session.odbc.execute(f"DROP TABLE IF EXISTS {name}")
-            except Exception:  # pragma: no cover - best-effort cleanup
-                pass
+        session.drop_scratch(cleanup, timing)
 
 
 def _apply_redirects(plan: RelNode, redirects: dict[str, TableSchema]) -> RelNode:
@@ -118,43 +113,22 @@ def _create_temp_as(session: "HyperQSession", schema: TableSchema,
                     target_sql: list[str]) -> int:
     """CREATE TEMPORARY TABLE ... AS <plan>: the target infers column types
     itself, which keeps the emulation frontend-agnostic."""
-    statement = r.CreateTable(schema, _renamed(plan, schema))
-    with timing.measure("translation"):
-        session.transformer.transform(statement)
-        ddl = session.serializer.serialize(statement)
-    target_sql.append(ddl)
-    with timing.measure("execution"):
-        result = session.odbc.execute(ddl)
+    produced = session.run_step(r.CreateTable(schema, _renamed(plan, schema)),
+                                timing, target_sql)
     cleanup.append(schema.name)
-    return result.rowcount
+    return produced
 
 
 def _insert_from_plan(session: "HyperQSession", table: TableSchema,
                       plan: RelNode, timing: RequestTiming,
                       target_sql: list[str]) -> int:
-    statement = r.Insert(table.name, None, copy.deepcopy(plan))
-    with timing.measure("translation"):
-        session.transformer.transform(statement)
-        sql = session.serializer.serialize(statement)
-    target_sql.append(sql)
-    with timing.measure("execution"):
-        result = session.odbc.execute(sql)
-    return result.rowcount
-
-
-def _materialize(session: "HyperQSession", name: str, plan: RelNode,
-                 timing: RequestTiming, cleanup: list[str],
-                 target_sql: list[str],
-                 names: list[str] | None = None) -> TableSchema:
-    schema = _temp_schema(session, name, plan, names)
-    _create_temp_as(session, schema, plan, timing, cleanup, target_sql)
-    return schema
+    return session.run_step(r.Insert(table.name, None, copy.deepcopy(plan)),
+                            timing, target_sql)
 
 
 def _run_recursive(session: "HyperQSession", cte: r.CTEDef, cte_plan: RelNode,
                    timing: RequestTiming, cleanup: list[str],
-                   target_sql: list[str],
-                   redirects: dict[str, TableSchema]) -> TableSchema:
+                   target_sql: list[str]) -> TableSchema:
     branches = _flatten_union_all(cte_plan)
     if len(branches) < 2:
         raise EmulationError(
@@ -201,5 +175,4 @@ def _truncate(session: "HyperQSession", table: TableSchema,
               timing: RequestTiming, target_sql: list[str]) -> None:
     sql = f"DELETE FROM {table.name}"
     target_sql.append(sql)
-    with timing.measure("execution"):
-        session.odbc.execute(sql)
+    session.run_target_sql(sql, timing)

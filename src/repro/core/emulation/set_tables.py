@@ -12,6 +12,7 @@ from __future__ import annotations
 import copy
 from typing import TYPE_CHECKING
 
+from repro.core.emulation import column_props
 from repro.core.timing import RequestTiming
 from repro.xtra import relational as r
 from repro.xtra import scalars as s
@@ -28,10 +29,12 @@ def _null_safe_equal(left: s.ColumnRef, right: s.ColumnRef) -> s.ScalarExpr:
     return s.BoolOp(s.BoolOpKind.OR, [s.Comp(s.CompOp.EQ, left, right), both_null])
 
 
-def run_insert(session: "HyperQSession", schema: TableSchema, bound: r.Insert,
+def run_insert(session: "HyperQSession", bound: r.Insert,
                timing: RequestTiming) -> "HQResult":
     from repro.core.engine import HQResult
 
+    schema = session.catalog.table(bound.table)
+    bound = column_props.fill_nonconstant_defaults(session, schema, bound)
     target_columns = bound.columns or [col.name for col in schema.columns]
     stage = TableSchema(
         session.fresh_temp_name("SETSTAGE"),
@@ -39,18 +42,10 @@ def run_insert(session: "HyperQSession", schema: TableSchema, bound: r.Insert,
         volatile=True,
     )
     target_sql: list[str] = []
-
-    def run_stmt(statement: r.Statement) -> int:
-        with timing.measure("translation"):
-            session.transformer.transform(statement)
-            sql = session.serializer.serialize(statement)
-        target_sql.append(sql)
-        with timing.measure("execution"):
-            return session.odbc.execute(sql).rowcount
-
     try:
-        run_stmt(r.CreateTable(stage))
-        run_stmt(r.Insert(stage.name, list(target_columns), bound.source))
+        session.run_step(r.CreateTable(stage), timing, target_sql)
+        session.run_step(r.Insert(stage.name, list(target_columns), bound.source),
+                         timing, target_sql)
         # Distinct stage rows that do not already exist in the target.
         stage_get = r.Get(stage, "_STG")
         probe_get = r.Get(schema, "_TGT")
@@ -71,11 +66,10 @@ def run_insert(session: "HyperQSession", schema: TableSchema, bound: r.Insert,
             [s.ColumnRef(name, "_STG", schema.column(name).type)
              for name in target_columns],
             list(target_columns)))
-        inserted = run_stmt(r.Insert(schema.name, list(target_columns), source))
+        inserted = session.run_step(
+            r.Insert(schema.name, list(target_columns), source), timing,
+            target_sql)
         return HQResult(kind="count", rowcount=inserted, timing=timing,
                         target_sql=target_sql)
     finally:
-        try:
-            session.odbc.execute(f"DROP TABLE IF EXISTS {stage.name}")
-        except Exception:  # pragma: no cover - best-effort cleanup
-            pass
+        session.drop_scratch([stage.name], timing)

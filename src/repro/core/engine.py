@@ -24,13 +24,17 @@ import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.errors import EmulationError, HyperQError, UnsupportedFeatureError
+from repro.errors import HyperQError, UnsupportedFeatureError
 from repro.backend.engine import Database
 from repro.core import deps as deps_mod
 from repro.core import trace as trace_mod
 from repro.core.budget import BatchBudget
-from repro.core.cache import CacheHit, Fingerprint, TranslationCache, fingerprint
-from repro.core.catalog import MacroDef, ProcedureDef, SessionCatalog, ShadowCatalog
+from repro.core.cache import Fingerprint, TranslationCache
+from repro.core.catalog import SessionCatalog, ShadowCatalog
+from repro.core.emulation import (
+    column_props, help_commands, macros, merge, procedures, recursive,
+    set_tables, views,
+)
 from repro.core.faults import ResilienceStats, RetryPolicy
 from repro.core.result_cache import ResultCache, ResultEntry
 from repro.core.timing import RequestTiming, TimingLog
@@ -41,7 +45,7 @@ from repro.frontend.teradata.binder import Binder
 from repro.frontend.teradata.parser import TeradataParser
 from repro.odbc.api import OdbcResult, OdbcServer
 from repro.odbc.drivers import InProcessDriver
-from repro.protocol.encoding import ColumnMeta, decode_rows
+from repro.protocol.encoding import ColumnMeta
 from repro.results.converter import ConvertedResult, ResultConverter
 from repro.serializer import serializer_for
 from repro.transform.capabilities import CapabilityProfile, HYPERION, PROFILES
@@ -372,6 +376,8 @@ class HyperQSession:
             # Connections that present no tenant id land on the default
             # tenant; the wire server overwrites this after LOGON.
             self.session_params["TENANT"] = engine.tenancy.default_tenant
+        #: The routes this target takes to the mid-tier (see ``_ROUTES``).
+        self._routes = _emulated_routes(engine.profile)
         self._temp_counter = 0
         self._original_ddl: dict[str, str] = {}
         #: Armed :class:`_ResultCapture` consumed by the next
@@ -433,8 +439,6 @@ class HyperQSession:
                     if rc_key is not None:
                         replayed = self._result_cache_replay(rc_key, timing)
                         if replayed is not None:
-                            replayed.timing = timing
-                            self.engine.timing_log.record(timing)
                             return replayed
                         # Re-materialize on this execution: the translation
                         # entry survived a result-cache eviction (or a data
@@ -442,10 +446,9 @@ class HyperQSession:
                         self._arm_result_capture(rc_key, hit.deps, hit.notes)
                 self._replay_notes(hit.notes)
                 try:
-                    with timing.measure("execution"):
-                        odbc_result = self.odbc.execute(hit.target_sql)
                     result = self.package_result(
-                        odbc_result, timing, [hit.target_sql])
+                        self.run_target_sql(hit.target_sql, timing), timing,
+                        [hit.target_sql])
                 finally:
                     self._pending_capture = None
                     # The hit skipped binding, so the entry names what the
@@ -453,32 +456,13 @@ class HyperQSession:
                     # keeps serving rows from before a repeated UPDATE.
                     if hit.write_tables:
                         self.engine.shadow.bump_data(*hit.write_tables)
-                result.timing = timing
                 self.engine.timing_log.record(timing)
                 return result
             with timing.measure("translation"):
-                if self.ansi_frontend is not None:
-                    if parameters or named_parameters:
-                        raise HyperQError(
-                            "parameter binding is implemented for the "
-                            "Teradata frontend only")
-                    ast = None
-                    with trace_mod.span("parse"):
-                        bound = self.ansi_frontend.bind_statement(sql)
-                else:
-                    with trace_mod.span("parse", bytes=len(sql)):
-                        ast = self.parser.parse_statement(sql)
-                    if parameters or named_parameters:
-                        from repro.frontend.teradata.parameters import (
-                            bind_parameters,
-                        )
-
-                        bind_parameters(ast, parameters, named_parameters)
-                    with trace_mod.span("bind"):
-                        bound = self.binder.bind(ast)
-            cache_key = self._cacheable_key(fp, bound)
+                bound = self._bind_sql(sql, parameters, named_parameters)
+            route = self._route(bound)
+            cache_key = self._cacheable_key(fp, bound, route)
             stmt_deps = self._extract_deps(bound, timing)
-            capture = None
             if cache_key is not None and isinstance(bound, r.Query) \
                     and stmt_deps is not None and stmt_deps.shareable:
                 rc_key = self._result_cache_key(fp, params_key)
@@ -487,26 +471,11 @@ class HyperQSession:
                     # (the two caches evict independently).
                     replayed = self._result_cache_replay(rc_key, timing)
                     if replayed is not None:
-                        replayed.timing = timing
-                        self.engine.timing_log.record(timing)
                         return replayed
-                    capture = self._arm_result_capture(
-                        rc_key, stmt_deps.all_tables, None)
-            try:
-                result = self._dispatch(bound, ast, timing)
-            finally:
-                self._pending_capture = None
-                self._note_data_write(bound, stmt_deps)
-            if capture is not None and capture.notes is None:
-                capture.notes = (self.tracker.current_notes()
-                                 if self.tracker is not None else ())
-            if cache_key is not None and len(result.target_sql) == 1:
-                with timing.measure("cache_lookup"):
-                    self._cache_insert(cache_key, fp, params_key,
-                                       result.target_sql[0], bound, stmt_deps)
-            result.timing = timing
-            self.engine.timing_log.record(timing)
-            return result
+                    self._arm_result_capture(rc_key, stmt_deps.all_tables, None)
+            return self._run_bound(
+                bound, route, timing, stmt_deps,
+                None if cache_key is None else (cache_key, fp, params_key))
         finally:
             if self.tracker is not None:
                 self.tracker.end_query()
@@ -525,13 +494,7 @@ class HyperQSession:
                 timing = RequestTiming()
                 with timing.measure("translation"):
                     bound = self.ansi_frontend.lower_spec(spec)
-                try:
-                    result = self._dispatch(bound, None, timing)
-                finally:
-                    self._note_data_write(bound)
-                result.timing = timing
-                self.engine.timing_log.record(timing)
-                results.append(result)
+                results.append(self._run_bound(bound, self._route(bound), timing))
             return results
         if _ADMIN_COMMAND_HINT_RE.search(sql) is not None:
             # Admin commands never reach the parser, so a script holding
@@ -551,13 +514,7 @@ class HyperQSession:
                 timing = RequestTiming()
                 with timing.measure("translation"), trace_mod.span("bind"):
                     bound = self.binder.bind(ast)
-                try:
-                    result = self._dispatch(bound, ast, timing)
-                finally:
-                    self._note_data_write(bound)
-                result.timing = timing
-                self.engine.timing_log.record(timing)
-                return result
+                return self._run_bound(bound, self._route(bound), timing)
         finally:
             if self.tracker is not None:
                 self.tracker.end_query()
@@ -568,22 +525,14 @@ class HyperQSession:
         )
 
         results: list[HQResult] = []
-        pending: list[tuple[r.Insert, td_ast.TdStatement]] = []
+        pending: list[r.Insert] = []
 
         def flush() -> None:
-            if not pending:
-                return
-            merged = batch_statements([bound for bound, __ in pending])
-            for bound in merged:
-                timing = RequestTiming()
-                try:
-                    result = self._dispatch(bound, pending[0][1], timing)
-                finally:
-                    self._note_data_write(bound)
-                result.timing = timing
-                self.engine.timing_log.record(timing)
-                results.append(result)
-            pending.clear()
+            if pending:
+                for bound in batch_statements(pending):
+                    results.append(self._run_bound(
+                        bound, self._route(bound), RequestTiming()))
+                pending.clear()
 
         for ast in statements:
             if self.tracker is not None:
@@ -592,18 +541,13 @@ class HyperQSession:
                 timing = RequestTiming()
                 with timing.measure("translation"):
                     bound = self.binder.bind(ast)
-                if isinstance(bound, r.Insert) and _is_batchable_insert(bound) \
-                        and self._emulated_feature(bound) is None:
-                    pending.append((bound, ast))
+                route = self._route(bound)
+                if route is None and isinstance(bound, r.Insert) \
+                        and _is_batchable_insert(bound):
+                    pending.append(bound)
                     continue
                 flush()
-                try:
-                    result = self._dispatch(bound, ast, timing)
-                finally:
-                    self._note_data_write(bound)
-                result.timing = timing
-                self.engine.timing_log.record(timing)
-                results.append(result)
+                results.append(self._run_bound(bound, route, timing))
             finally:
                 if self.tracker is not None:
                     self.tracker.end_query()
@@ -631,36 +575,41 @@ class HyperQSession:
         if hit is not None:
             self._replay_notes(hit.notes)
             return TranslationResult("sql", [hit.target_sql])
-        if self.ansi_frontend is not None:
-            with trace_mod.span("parse"):
-                bound = self.ansi_frontend.bind_statement(sql)
-        else:
-            with trace_mod.span("parse", bytes=len(sql)):
-                ast = self.parser.parse_statement(sql)
-            with trace_mod.span("bind"):
-                bound = self.binder.bind(ast)
-        feature = self._emulated_feature(bound)
-        if feature is not None:
-            self._note(feature)
-            trace_mod.add_event("emulated", feature=feature)
-            if fp is not None:
-                self.engine.cache.note_bypass()
-            return TranslationResult("emulated", emulated_feature=feature)
-        cache_key = self._cacheable_key(fp, bound)
+        bound = self._bind_sql(sql)
+        route = self._route(bound)
+        cache_key = self._cacheable_key(fp, bound, route)
+        if route is not None:
+            self._note(route)
+            trace_mod.add_event("emulated", feature=route)
+            return TranslationResult("emulated", emulated_feature=route)
         if isinstance(bound, (r.NoOp, r.SetSessionParam)):
             return TranslationResult("ok")
         stmt_deps = (self._extract_deps(bound, None)
                      if cache_key is not None else None)
-        with trace_mod.span("transform"):
-            self.transformer.transform(bound)
-        with trace_mod.span("serialize") as span:
-            target_sql = self.serializer.serialize(bound)
-            if span is not None:
-                span.annotate("bytes", len(target_sql))
+        target_sql = self._translate_step(bound)
         if cache_key is not None:
             self._cache_insert(cache_key, fp, params_key, target_sql,
                                bound, stmt_deps)
         return TranslationResult("sql", [target_sql])
+
+    def _bind_sql(self, sql: str, parameters=None,
+                  named_parameters=None) -> r.Statement:
+        """Parse and bind one request (its ``parse`` and ``bind`` spans)."""
+        if self.ansi_frontend is not None:
+            if parameters or named_parameters:
+                raise HyperQError(
+                    "parameter binding is implemented for the "
+                    "Teradata frontend only")
+            with trace_mod.span("parse"):
+                return self.ansi_frontend.bind_statement(sql)
+        with trace_mod.span("parse", bytes=len(sql)):
+            ast = self.parser.parse_statement(sql)
+        if parameters or named_parameters:
+            from repro.frontend.teradata.parameters import bind_parameters
+
+            bind_parameters(ast, parameters, named_parameters)
+        with trace_mod.span("bind"):
+            return self.binder.bind(ast)
 
     def close(self) -> None:
         self.odbc.close()
@@ -842,14 +791,14 @@ class HyperQSession:
             self.engine.source, self.profile.name, fp.text,
             self.catalog.overlay_key)
 
-    def _cacheable_key(self, fp: Optional[Fingerprint], bound: r.Statement):
+    def _cacheable_key(self, fp: Optional[Fingerprint], bound: r.Statement,
+                       route: Optional[str]):
         """Key base if this statement's translation may be memoized, else
         None (reclassifying the lookup miss as a bypass)."""
         cache = self.engine.cache
         if cache is None or fp is None:
             return None
-        if not isinstance(bound, self._CACHEABLE_KINDS) \
-                or self._emulated_feature(bound) is not None:
+        if route is not None or not isinstance(bound, self._CACHEABLE_KINDS):
             cache.note_bypass()
             return None
         return self._cache_key_base(fp)
@@ -928,7 +877,8 @@ class HyperQSession:
                 fp.values_key(), params_key)
 
     def _result_cache_replay(self, rc_key: tuple, timing) -> Optional[HQResult]:
-        """Serve a materialized result with zero backend calls, or None.
+        """Serve a materialized result with zero backend calls (its timing
+        recorded), or None.
 
         A hit hands the wire the chunks a live run sent — no decode, no
         re-encode — so the client-visible bytes match that run; the cache
@@ -952,6 +902,7 @@ class HyperQSession:
         converted = ConvertedResult(metas=metas, chunks=list(entry.chunks),
                                     rowcount=entry.rowcount)
         timing.mark_first_row()
+        self.engine.timing_log.record(timing)
         return HQResult(
             kind="rows", columns=[meta.name for meta in metas], metas=metas,
             converted=converted, rowcount=entry.rowcount, timing=timing,
@@ -993,13 +944,9 @@ class HyperQSession:
             yield chunk, nrows
         if collected is None:
             return
-        notes = capture.notes
-        if notes is None:
-            notes = (self.tracker.current_notes()
-                     if self.tracker is not None else ())
         entry = ResultEntry(
             metas=tuple(metas), chunks=tuple(collected), rowcount=rowcount,
-            notes=tuple(notes), deps=capture.deps, vector=capture.vector,
+            notes=tuple(capture.notes), deps=capture.deps, vector=capture.vector,
             target_sql=target_sql)
         if rcache.insert(capture.key, entry, tenant=self.tenant):
             metrics = self.engine.tracing.metrics
@@ -1043,23 +990,54 @@ class HyperQSession:
         self._temp_counter += 1
         return f"_HQ_{prefix}_{self._temp_counter}"
 
+    def _translate_step(self, bound: r.Statement) -> str:
+        """Transform and serialize one bound statement into target SQL,
+        each under its span: the one translate step of every path."""
+        with trace_mod.span("transform"):
+            self.transformer.transform(bound)
+        with trace_mod.span("serialize") as span:
+            sql = self.serializer.serialize(bound)
+            if span is not None:
+                span.annotate("bytes", len(sql))
+        return sql
+
     def run_translated(self, bound: r.Statement, timing: RequestTiming) -> HQResult:
         """Transform + serialize + execute one statement on the target."""
         with timing.measure("translation"):
-            with trace_mod.span("transform"):
-                self.transformer.transform(bound)
-            with trace_mod.span("serialize") as span:
-                sql = self.serializer.serialize(bound)
-                if span is not None:
-                    span.annotate("bytes", len(sql))
-        with timing.measure("execution"):
-            odbc_result = self.odbc.execute(sql)
-        return self.package_result(odbc_result, timing, [sql])
+            sql = self._translate_step(bound)
+        return self.package_result(self.run_target_sql(sql, timing), timing,
+                                   [sql])
+
+    def run_step(self, bound: r.Statement, timing: RequestTiming,
+                 target_sql: list[str]) -> int:
+        """One target statement of an emulation: run *bound* translated,
+        append its SQL to *target_sql*, return its row count."""
+        result = self.run_translated(bound, timing)
+        target_sql.extend(result.target_sql)
+        return result.rowcount
 
     def run_target_sql(self, sql: str, timing: RequestTiming) -> OdbcResult:
-        """Execute already-serialized target SQL (emulator building block)."""
+        """Execute already-serialized target SQL (timed as ``execution``):
+        the one run step every target statement takes."""
         with timing.measure("execution"):
             return self.odbc.execute(sql)
+
+    def drop_scratch(self, names, timing: RequestTiming) -> None:
+        """Best-effort DROP of an emulator's scratch tables: clean-up never
+        masks the outcome of the statement it followed."""
+        for name in names:
+            try:
+                self.run_target_sql(f"DROP TABLE IF EXISTS {name}", timing)
+            except Exception:  # pragma: no cover - best-effort cleanup
+                pass
+
+    def run_nested(self, ast: td_ast.TdStatement,
+                   timing: RequestTiming) -> HQResult:
+        """Bind and run one statement of a macro or procedure body inside
+        the calling request, which bumps data epochs and records timing."""
+        with timing.measure("translation"):
+            bound = self.binder.bind(ast)
+        return self._dispatch(bound, self._route(bound), timing)
 
     def package_result(self, odbc_result: OdbcResult, timing: RequestTiming,
                        target_sql: list[str]) -> HQResult:
@@ -1078,6 +1056,9 @@ class HyperQSession:
                             timing=timing, target_sql=target_sql)
         tee = None
         if capture is not None and self.engine.result_cache is not None:
+            if capture.notes is None:  # armed on a miss, now translated
+                capture.notes = (self.tracker.current_notes()
+                                 if self.tracker is not None else ())
             tee = functools.partial(
                 self._capturing_chunks, capture,
                 target_sql[0] if len(target_sql) == 1 else "")
@@ -1126,169 +1107,93 @@ class HyperQSession:
             target_sql=target_sql or [],
         )
 
-    # -- dispatch ---------------------------------------------------------------------
+    # -- routing and dispatch ----------------------------------------------------------
 
-    def _emulated_feature(self, bound: r.Statement) -> Optional[str]:
-        """Which tracked feature (if any) forces this statement into the
-        mid-tier for the current target."""
-        profile = self.profile
-        if isinstance(bound, r.Query) and not profile.recursive_cte \
-                and _has_recursive_cte(bound.plan):
-            return "recursive_query"
-        if isinstance(bound, (r.CreateMacro, r.DropMacro, r.ExecMacro)) \
-                and not profile.macros:
-            return "macro"
-        if isinstance(bound, (r.CreateProcedure, r.DropProcedure,
-                              r.CallProcedure)) and not profile.stored_procedures:
-            return "stored_procedure"
-        if isinstance(bound, r.Merge) and not profile.merge_statement:
-            return "merge_statement"
-        if isinstance(bound, (r.HelpCommand, r.ShowCommand)) \
-                and not profile.help_commands:
-            return "help_command"
-        if isinstance(bound, (r.Insert, r.Update, r.Delete)) \
-                and not profile.updatable_views \
-                and self.catalog.is_view(bound.table):
-            return "dml_on_view"
-        if isinstance(bound, r.Insert) and not profile.set_tables:
-            schema = self.catalog.resolve(bound.table)
-            if schema is not None and schema.set_semantics:
-                return "set_table"
-        if isinstance(bound, r.CreateTable) and bound.schema.volatile \
-                and not profile.volatile_tables:
-            return "volatile_table"
+    def _route(self, bound: r.Statement) -> Optional[str]:
+        """The feature whose emulator runs *bound* on this target, or None
+        when it runs as target SQL. Decided once per bound statement; the
+        answer drives :meth:`translate`, the translation cache, DML
+        batching and :meth:`_dispatch` alike."""
+        for feature, (kinds, applies, __) in self._routes.items():
+            if isinstance(bound, kinds) and (applies is None
+                                             or applies(self, bound)):
+                return feature
         return None
 
-    def _dispatch(self, bound: r.Statement, ast: td_ast.TdStatement,
+    def _dispatch(self, bound: r.Statement, route: Optional[str],
                   timing: RequestTiming) -> HQResult:
-        from repro.core.emulation import (
-            column_props, help_commands, macros, merge, procedures, recursive,
-            set_tables, views,
-        )
-
+        """Run *bound* by its route: its feature's emulator, or on the
+        target as translated SQL."""
+        if route is not None:
+            self._note(route)
+            return self._routes[route][2](self, bound, timing)
         if isinstance(bound, r.NoOp):
             return HQResult(kind="ok", timing=timing)
         if isinstance(bound, r.SetSessionParam):
             self.session_params[bound.name.upper()] = bound.value
             return HQResult(kind="ok", timing=timing)
         if isinstance(bound, r.Transaction):
-            with timing.measure("execution"):
-                self.odbc.execute(bound.action)
+            self.run_target_sql(bound.action, timing)
             return HQResult(kind="ok", timing=timing)
-        if isinstance(bound, (r.HelpCommand, r.ShowCommand)):
-            self._note("help_command")
-            return help_commands.run(self, bound, timing)
-
-        if isinstance(bound, r.Query):
-            if not self.profile.recursive_cte and _has_recursive_cte(bound.plan):
-                self._note("recursive_query")
-                return recursive.run(self, bound, timing)
-            return self.run_translated(bound, timing)
-
         if isinstance(bound, r.Insert):
-            return self._dispatch_insert(bound, timing, column_props,
-                                         set_tables, views)
-        if isinstance(bound, (r.Update, r.Delete)):
-            if not self.profile.updatable_views and self.catalog.is_view(bound.table):
-                self._note("dml_on_view")
-                return views.run_dml(self, bound, timing)
-            return self.run_translated(bound, timing)
-
-        if isinstance(bound, r.Merge):
-            if self.profile.merge_statement:
-                return self.run_translated(bound, timing)
-            self._note("merge_statement")
-            return merge.run(self, bound, timing)
-
-        if isinstance(bound, r.CreateTable):
-            return self._dispatch_create_table(bound, timing)
-        if isinstance(bound, r.DropTable):
-            return self._dispatch_drop_table(bound, timing)
-        if isinstance(bound, r.CreateView):
-            return self._dispatch_create_view(bound, timing)
-        if isinstance(bound, r.DropView):
-            self.engine.shadow.drop_view(bound.name)
-            with timing.measure("execution"):
-                self.odbc.execute(f"DROP VIEW {bound.name}")
+            schema = self.catalog.resolve(bound.table)
+            if schema is not None:
+                bound = column_props.fill_nonconstant_defaults(
+                    self, schema, bound)
+        elif isinstance(bound, r.CreateTable):
+            return self._create_table(bound, timing,
+                                      self.engine.shadow.add_table)
+        elif isinstance(bound, r.CreateView):
+            self._add_view(bound)
+        elif isinstance(bound, (r.DropTable, r.DropView)):
+            if isinstance(bound, r.DropView):
+                kind = "VIEW"
+                self.engine.shadow.drop_view(bound.name)
+            else:
+                kind = "TABLE"
+                self.catalog.drop_table(bound.name)  # volatile overlay first
+            self.run_target_sql(f"DROP {kind} {bound.name}", timing)
             return HQResult(kind="ok", timing=timing)
-
-        if isinstance(bound, r.CreateMacro):
-            self._note("macro")
-            self.engine.shadow.add_macro(
-                MacroDef(bound.name, bound.parameters, bound.body_sql),
-                replace=bound.replace)
-            return HQResult(kind="ok", timing=timing)
-        if isinstance(bound, r.DropMacro):
-            self._note("macro")
-            self.engine.shadow.drop_macro(bound.name)
-            return HQResult(kind="ok", timing=timing)
-        if isinstance(bound, r.ExecMacro):
-            self._note("macro")
-            return macros.run(self, bound, timing)
-
-        if isinstance(bound, r.CreateProcedure):
-            self._note("stored_procedure")
-            self.engine.shadow.add_procedure(
-                ProcedureDef(bound.name, bound.parameters, bound.body),
-                replace=bound.replace)
-            return HQResult(kind="ok", timing=timing)
-        if isinstance(bound, r.DropProcedure):
-            self._note("stored_procedure")
-            self.engine.shadow.drop_procedure(bound.name)
-            return HQResult(kind="ok", timing=timing)
-        if isinstance(bound, r.CallProcedure):
-            self._note("stored_procedure")
-            return procedures.run(self, bound, timing)
-
-        raise UnsupportedFeatureError(
-            f"no execution path for {type(bound).__name__}")
-
-    def _dispatch_insert(self, bound: r.Insert, timing: RequestTiming,
-                         column_props, set_tables, views) -> HQResult:
-        if not self.profile.updatable_views and self.catalog.is_view(bound.table):
-            self._note("dml_on_view")
-            return views.run_dml(self, bound, timing)
-        schema = self.catalog.resolve(bound.table)
-        if schema is not None:
-            bound = column_props.fill_nonconstant_defaults(self, schema, bound)
-            if schema.set_semantics and not self.profile.set_tables:
-                self._note("set_table")
-                return set_tables.run_insert(self, schema, bound, timing)
+        elif not isinstance(bound, (r.Query, r.Update, r.Delete, r.Merge)):
+            raise UnsupportedFeatureError(
+                f"no execution path for {type(bound).__name__}")
         return self.run_translated(bound, timing)
 
-    def _dispatch_create_table(self, bound: r.CreateTable,
-                               timing: RequestTiming) -> HQResult:
-        from repro.core.emulation import column_props
+    def _run_bound(self, bound: r.Statement, route: Optional[str],
+                   timing: RequestTiming, stmt_deps=None,
+                   memo: Optional[tuple] = None) -> HQResult:
+        """The post-bind runner of every request path: dispatch, bump the
+        data epoch of what the statement wrote, memoize a one-statement
+        translation under *memo* ``(key_base, fingerprint, params_key)``,
+        record the timing."""
+        try:
+            result = self._dispatch(bound, route, timing)
+        finally:
+            self._pending_capture = None
+            self._note_data_write(bound, stmt_deps)
+        if memo is not None and len(result.target_sql) == 1:
+            with timing.measure("cache_lookup"):
+                self._cache_insert(*memo, result.target_sql[0], bound,
+                                   stmt_deps)
+        result.timing = timing
+        self.engine.timing_log.record(timing)
+        return result
 
-        schema = bound.schema
-        # PERIOD columns: split into begin/end DATE columns (Section 2.2.2).
-        schema, split = column_props.split_period_columns(self, schema)
+    def _create_table(self, bound: r.CreateTable, timing: RequestTiming,
+                      register) -> HQResult:
+        """CREATE TABLE: PERIOD columns split into begin/end DATE columns
+        (Section 2.2.2), the schema *register*-ed, then the DDL run."""
+        schema, __ = column_props.split_period_columns(self, bound.schema)
         bound.schema = schema
-        if schema.set_semantics and not self.profile.set_tables:
+        if schema.set_semantics and "set_table" in self._routes:
             self._note("set_table")
         if any(col.default_sql and not _is_constant_default(col.default_sql)
                for col in schema.columns):
             self._note("column_properties")
-        if schema.volatile and not self.profile.volatile_tables:
-            self._note("volatile_table")
-            self.catalog.add_volatile(schema)
-        else:
-            self.engine.shadow.add_table(schema)
-        result = self.run_translated(bound, timing)
-        return result
+        register(schema)
+        return self.run_translated(bound, timing)
 
-    def _dispatch_drop_table(self, bound: r.DropTable,
-                             timing: RequestTiming) -> HQResult:
-        if self.catalog.is_volatile(bound.name):
-            self.catalog.drop_volatile(bound.name)
-        else:
-            self.engine.shadow.drop_table(bound.name)
-        with timing.measure("execution"):
-            self.odbc.execute(f"DROP TABLE {bound.name}")
-        return HQResult(kind="ok", timing=timing)
-
-    def _dispatch_create_view(self, bound: r.CreateView,
-                              timing: RequestTiming) -> HQResult:
+    def _add_view(self, bound: r.CreateView) -> None:
         columns = [ColumnSchema(name, col.type)
                    for name, col in zip(bound.column_names or [],
                                         bound.plan.output_columns())]
@@ -1302,7 +1207,6 @@ class HyperQSession:
         closure = deps_mod.view_closure(bound.plan, self.catalog)
         self.engine.shadow.add_view(schema, replace=bound.replace,
                                     deps=closure)
-        return self.run_translated(bound, timing)
 
 
 class _ResultCapture:
@@ -1362,3 +1266,53 @@ def _is_constant_default(sql: str) -> bool:
     except ValueError:
         return False
     return True
+
+
+def _create_volatile(session: HyperQSession, bound: r.CreateTable,
+                     timing: RequestTiming) -> HQResult:
+    """A VOLATILE table on a target without session-scoped tables: the
+    schema lives in the session's catalog overlay, not the shared one."""
+    return session._create_table(bound, timing, session.catalog.add_volatile)
+
+
+#: The routing table (DESIGN mirrors it). ``feature: (kinds, flag, applies,
+#: emulator)``: the bound statement kinds the feature covers; the capability
+#: flag whose absence routes them to the mid-tier (None: no serializer
+#: expresses them, so they always run there); the condition a statement of
+#: those kinds must also meet; the emulator that runs it (Section 6). Order
+#: matters: DML through a view routes as ``dml_on_view`` before any
+#: SET-table check.
+_ROUTES = {
+    "recursive_query": (
+        (r.Query,), "recursive_cte",
+        lambda session, bound: _has_recursive_cte(bound.plan), recursive.run),
+    "macro": (
+        (r.CreateMacro, r.DropMacro, r.ExecMacro), None, None, macros.run),
+    "stored_procedure": (
+        (r.CreateProcedure, r.DropProcedure, r.CallProcedure), None, None,
+        procedures.run),
+    "merge_statement": ((r.Merge,), "merge_statement", None, merge.run),
+    "help_command": (
+        (r.HelpCommand, r.ShowCommand), None, None, help_commands.run),
+    "dml_on_view": (
+        (r.Insert, r.Update, r.Delete), "updatable_views",
+        lambda session, bound: session.catalog.is_view(bound.table),
+        views.run_dml),
+    "set_table": (
+        (r.Insert,), "set_tables",
+        lambda session, bound: getattr(session.catalog.resolve(bound.table),
+                                       "set_semantics", False),
+        set_tables.run_insert),
+    "volatile_table": (
+        (r.CreateTable,), "volatile_tables",
+        lambda session, bound: bound.schema.volatile, _create_volatile),
+}
+
+
+def _emulated_routes(profile: CapabilityProfile) -> dict:
+    """``feature: (kinds, applies, emulator)`` for each route *profile*
+    takes to the mid-tier, in table order: the one reader of the routing
+    flags."""
+    return {feature: (kinds, applies, emulator)
+            for feature, (kinds, flag, applies, emulator) in _ROUTES.items()
+            if flag is None or not getattr(profile, flag)}

@@ -340,9 +340,13 @@ def decode_rows_reference(metas: list[ColumnMeta], blob: bytes) -> list[tuple]:
     total = len(view)
     unpack_length = _S_U32.unpack_from
     while offset < total:
+        if offset + 4 > total:
+            raise ConversionError("corrupt record: truncated")
         record_len = unpack_length(view, offset)[0]
         offset += 4
         record_end = offset + record_len
+        if record_end > total:
+            raise ConversionError("corrupt record: truncated")
         bitmap_at = offset
         cursor = offset + bitmap_len
         values = []
@@ -700,7 +704,10 @@ class RowCodec:
         return bytes(out)
 
     def decode(self, blob) -> list[tuple]:
-        return self.decode_bytes(bytes(blob))
+        try:
+            return self.decode_bytes(bytes(blob))
+        except struct.error:  # a length header cut short by the chunk end
+            raise ConversionError("corrupt record: truncated") from None
 
 
 _CODEC_CACHE: dict[tuple[int, ...], RowCodec] = {}
