@@ -75,10 +75,10 @@ def fill_nonconstant_defaults(session: "HyperQSession", schema: TableSchema,
 
 
 def split_period_columns(session: "HyperQSession",
-                         schema: TableSchema) -> tuple[TableSchema, bool]:
+                         schema: TableSchema) -> TableSchema:
     """Split PERIOD columns into begin/end DATE columns for the target."""
     if not any(col.type.kind is t.TypeKind.PERIOD for col in schema.columns):
-        return schema, False
+        return schema
     session._note("column_properties")
     columns: list[ColumnSchema] = []
     for col in schema.columns:
@@ -93,4 +93,4 @@ def split_period_columns(session: "HyperQSession",
         set_semantics=schema.set_semantics,
         volatile=schema.volatile,
         primary_index=schema.primary_index,
-    ), True
+    )

@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING
 
 from repro.errors import EmulationError
 from repro.core.catalog import MacroDef
-from repro.core.timing import RequestTiming
 from repro.xtra import relational as r
 from repro.xtra import scalars as s
 
@@ -62,8 +61,7 @@ def expand(session: "HyperQSession", bound: r.ExecMacro) -> str:
     return _PARAM_RE.sub(substitute, macro.body_sql)
 
 
-def run(session: "HyperQSession", bound: r.Statement,
-        timing: RequestTiming) -> "HQResult":
+def run(session: "HyperQSession", bound: r.Statement) -> "HQResult":
     """CREATE / DROP MACRO keep the definition in the shadow catalog; EXEC
     runs the expanded body."""
     from repro.core.engine import HQResult
@@ -72,18 +70,17 @@ def run(session: "HyperQSession", bound: r.Statement,
     if isinstance(bound, r.CreateMacro):
         shadow.add_macro(MacroDef(bound.name, bound.parameters, bound.body_sql),
                          replace=bound.replace)
-        return HQResult(kind="ok", timing=timing)
+        return HQResult(kind="ok")
     if isinstance(bound, r.DropMacro):
         shadow.drop_macro(bound.name)
-        return HQResult(kind="ok", timing=timing)
+        return HQResult(kind="ok")
     body_sql = expand(session, bound)
-    with timing.measure("translation"):
-        statements = session.parser.parse_script(body_sql)
+    statements = session.parse_nested(body_sql)
     if not statements:
         raise EmulationError(f"macro {bound.name} has an empty body")
     rows_result: HQResult | None = None
     for ast in statements:
-        last = session.run_nested(ast, timing)
+        last = session.run_nested(ast)
         if last.kind == "rows":
             rows_result = last
     return rows_result or last

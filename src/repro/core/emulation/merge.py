@@ -12,7 +12,6 @@ from __future__ import annotations
 import copy
 from typing import TYPE_CHECKING
 
-from repro.core.timing import RequestTiming
 from repro.xtra import relational as r
 from repro.xtra import scalars as s
 from repro.xtra import types as t
@@ -73,8 +72,7 @@ def _target_schema(statement: r.Merge):
     return schema
 
 
-def run(session: "HyperQSession", statement: r.Merge,
-        timing: RequestTiming) -> "HQResult":
+def run(session: "HyperQSession", statement: r.Merge) -> "HQResult":
     from repro.core.engine import HQResult
 
     schema = session.catalog.table(statement.target)
@@ -84,6 +82,5 @@ def run(session: "HyperQSession", statement: r.Merge,
     target_sql: list[str] = []
     for step in (build_update(statement), build_insert(statement)):
         if step is not None:
-            affected += session.run_step(step, timing, target_sql)
-    return HQResult(kind="count", rowcount=affected, timing=timing,
-                    target_sql=target_sql)
+            affected += session.run_step(step, target_sql)
+    return HQResult(kind="count", rowcount=affected, target_sql=target_sql)

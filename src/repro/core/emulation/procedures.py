@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING, Optional
 from repro.errors import EmulationError
 from repro.backend.expressions import Env, EvalContext, Evaluator
 from repro.core.catalog import ProcedureDef
-from repro.core.timing import RequestTiming
 from repro.frontend.teradata import ast as a
 from repro.transform.capabilities import TERADATA
 from repro.xtra import relational as r
@@ -57,9 +56,8 @@ class _Frame:
 
 
 class _Interpreter:
-    def __init__(self, session: "HyperQSession", timing: RequestTiming):
+    def __init__(self, session: "HyperQSession"):
         self.session = session
-        self.timing = timing
         # The evaluator only needs scalar semantics; source (Teradata)
         # profile gives it the most permissive type mixing.
         self.evaluator = Evaluator(TERADATA, self._no_subquery)
@@ -121,7 +119,7 @@ class _Interpreter:
 
     def _run(self, ast_statement: a.TdStatement, frame: _Frame) -> "HQResult":
         prepared = _substitute_statement(copy.deepcopy(ast_statement), frame)
-        return self.session.run_nested(prepared, self.timing)
+        return self.session.run_nested(prepared)
 
     def _run_sql(self, ast_statement: a.TdStatement, frame: _Frame) -> None:
         self.last_result = self._run(ast_statement, frame)
@@ -229,8 +227,7 @@ def _substitute_statement(statement: a.TdStatement, frame: _Frame) -> a.TdStatem
     return statement
 
 
-def run(session: "HyperQSession", bound: r.Statement,
-        timing: RequestTiming) -> "HQResult":
+def run(session: "HyperQSession", bound: r.Statement) -> "HQResult":
     """CREATE / DROP PROCEDURE keep the definition in the shadow catalog;
     CALL interprets the stored procedure body."""
     from repro.core.engine import HQResult
@@ -240,13 +237,13 @@ def run(session: "HyperQSession", bound: r.Statement,
         shadow.add_procedure(
             ProcedureDef(bound.name, bound.parameters, bound.body),
             replace=bound.replace)
-        return HQResult(kind="ok", timing=timing)
+        return HQResult(kind="ok")
     if isinstance(bound, r.DropProcedure):
         shadow.drop_procedure(bound.name)
-        return HQResult(kind="ok", timing=timing)
+        return HQResult(kind="ok")
     procedure = shadow.procedure(bound.name)
     frame = _Frame()
-    interpreter = _Interpreter(session, timing)
+    interpreter = _Interpreter(session)
     parameters = procedure.parameters
     if len(bound.arguments) > len(parameters):
         raise EmulationError(
@@ -264,7 +261,7 @@ def run(session: "HyperQSession", bound: r.Statement,
         columns = [name for name, __ in out_params]
         rows = [tuple(value for __, value in out_params)]
         return session.fabricate_result(
-            columns, [t.UNKNOWN] * len(columns), rows, timing)
+            columns, [t.UNKNOWN] * len(columns), rows)
     if interpreter.last_result is not None:
         return interpreter.last_result
-    return HQResult(kind="ok", timing=timing)
+    return HQResult(kind="ok")

@@ -20,7 +20,6 @@ import copy
 from typing import TYPE_CHECKING
 
 from repro.errors import EmulationError
-from repro.core.timing import RequestTiming
 from repro.xtra import relational as r
 from repro.xtra import scalars as s_mod
 from repro.xtra import types as t
@@ -51,8 +50,7 @@ def _flatten_union_all(plan: RelNode) -> list[RelNode]:
     return [plan]
 
 
-def run(session: "HyperQSession", bound: r.Query,
-        timing: RequestTiming) -> "HQResult":
+def run(session: "HyperQSession", bound: r.Query) -> "HQResult":
     """Execute a query whose plan contains recursive CTEs."""
     plan = bound.plan
     if not isinstance(plan, r.With):
@@ -65,21 +63,21 @@ def run(session: "HyperQSession", bound: r.Query,
         for cte in plan.ctes:
             cte_plan = _apply_redirects(cte.plan, redirects)
             if cte.recursive:
-                schema = _run_recursive(session, cte, cte_plan, timing,
-                                        cleanup, target_sql)
+                schema = _run_recursive(session, cte, cte_plan, cleanup,
+                                        target_sql)
             else:
                 # Non-recursive CTE: materialize once into a temp table.
                 schema = _temp_schema(session, cte.name, cte_plan,
                                       cte.column_names)
-                _create_temp_as(session, schema, cte_plan, timing, cleanup,
+                _create_temp_as(session, schema, cte_plan, cleanup,
                                 target_sql)
             redirects[cte.name.upper()] = schema
         final = r.Query(_apply_redirects(plan.body, redirects))
-        result = session.run_translated(final, timing)
+        result = session.run_translated(final)
         result.target_sql = target_sql + result.target_sql
         return result
     finally:
-        session.drop_scratch(cleanup, timing)
+        session.drop_scratch(cleanup)
 
 
 def _apply_redirects(plan: RelNode, redirects: dict[str, TableSchema]) -> RelNode:
@@ -109,26 +107,24 @@ def _renamed(plan: RelNode, schema: TableSchema) -> RelNode:
 
 
 def _create_temp_as(session: "HyperQSession", schema: TableSchema,
-                    plan: RelNode, timing: RequestTiming, cleanup: list[str],
+                    plan: RelNode, cleanup: list[str],
                     target_sql: list[str]) -> int:
     """CREATE TEMPORARY TABLE ... AS <plan>: the target infers column types
     itself, which keeps the emulation frontend-agnostic."""
     produced = session.run_step(r.CreateTable(schema, _renamed(plan, schema)),
-                                timing, target_sql)
+                                target_sql)
     cleanup.append(schema.name)
     return produced
 
 
 def _insert_from_plan(session: "HyperQSession", table: TableSchema,
-                      plan: RelNode, timing: RequestTiming,
-                      target_sql: list[str]) -> int:
+                      plan: RelNode, target_sql: list[str]) -> int:
     return session.run_step(r.Insert(table.name, None, copy.deepcopy(plan)),
-                            timing, target_sql)
+                            target_sql)
 
 
 def _run_recursive(session: "HyperQSession", cte: r.CTEDef, cte_plan: RelNode,
-                   timing: RequestTiming, cleanup: list[str],
-                   target_sql: list[str]) -> TableSchema:
+                   cleanup: list[str], target_sql: list[str]) -> TableSchema:
     branches = _flatten_union_all(cte_plan)
     if len(branches) < 2:
         raise EmulationError(
@@ -142,11 +138,10 @@ def _run_recursive(session: "HyperQSession", cte: r.CTEDef, cte_plan: RelNode,
 
     # Step 1: seed both WorkTable and TempTable (CTAS so the target infers
     # the scratch column types); DELTA starts empty.
-    _create_temp_as(session, work, seed, timing, cleanup, target_sql)
-    produced = _create_temp_as(session, temp, seed, timing, cleanup,
-                               target_sql)
-    _create_temp_as(session, delta, seed, timing, cleanup, target_sql)
-    _truncate(session, delta, timing, target_sql)
+    _create_temp_as(session, work, seed, cleanup, target_sql)
+    produced = _create_temp_as(session, temp, seed, cleanup, target_sql)
+    _create_temp_as(session, delta, seed, cleanup, target_sql)
+    _truncate(session, delta, target_sql)
 
     rounds = 0
     while produced:
@@ -158,21 +153,20 @@ def _run_recursive(session: "HyperQSession", cte: r.CTEDef, cte_plan: RelNode,
         produced = 0
         for term in recursive_terms:
             redirected = _redirect(term, cte.name, temp)
-            produced += _insert_from_plan(session, delta, redirected, timing,
+            produced += _insert_from_plan(session, delta, redirected,
                                           target_sql)
         # Step 3: append delta to WorkTable, move delta into TempTable.
         if produced:
             scan = r.Get(delta, None)
-            _insert_from_plan(session, work, scan, timing, target_sql)
-            _truncate(session, temp, timing, target_sql)
-            _insert_from_plan(session, temp, r.Get(delta, None), timing,
-                              target_sql)
-        _truncate(session, delta, timing, target_sql)
+            _insert_from_plan(session, work, scan, target_sql)
+            _truncate(session, temp, target_sql)
+            _insert_from_plan(session, temp, r.Get(delta, None), target_sql)
+        _truncate(session, delta, target_sql)
     return work
 
 
 def _truncate(session: "HyperQSession", table: TableSchema,
-              timing: RequestTiming, target_sql: list[str]) -> None:
+              target_sql: list[str]) -> None:
     sql = f"DELETE FROM {table.name}"
     target_sql.append(sql)
-    session.run_target_sql(sql, timing)
+    session.run_target_sql(sql)

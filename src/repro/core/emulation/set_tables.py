@@ -13,7 +13,6 @@ import copy
 from typing import TYPE_CHECKING
 
 from repro.core.emulation import column_props
-from repro.core.timing import RequestTiming
 from repro.xtra import relational as r
 from repro.xtra import scalars as s
 from repro.xtra import types as t
@@ -29,8 +28,7 @@ def _null_safe_equal(left: s.ColumnRef, right: s.ColumnRef) -> s.ScalarExpr:
     return s.BoolOp(s.BoolOpKind.OR, [s.Comp(s.CompOp.EQ, left, right), both_null])
 
 
-def run_insert(session: "HyperQSession", bound: r.Insert,
-               timing: RequestTiming) -> "HQResult":
+def run_insert(session: "HyperQSession", bound: r.Insert) -> "HQResult":
     from repro.core.engine import HQResult
 
     schema = session.catalog.table(bound.table)
@@ -43,9 +41,10 @@ def run_insert(session: "HyperQSession", bound: r.Insert,
     )
     target_sql: list[str] = []
     try:
-        session.run_step(r.CreateTable(stage), timing, target_sql)
-        session.run_step(r.Insert(stage.name, list(target_columns), bound.source),
-                         timing, target_sql)
+        session.run_step(r.CreateTable(stage), target_sql)
+        session.run_step(
+            r.Insert(stage.name, list(target_columns), bound.source),
+            target_sql)
         # Distinct stage rows that do not already exist in the target.
         stage_get = r.Get(stage, "_STG")
         probe_get = r.Get(schema, "_TGT")
@@ -67,9 +66,7 @@ def run_insert(session: "HyperQSession", bound: r.Insert,
              for name in target_columns],
             list(target_columns)))
         inserted = session.run_step(
-            r.Insert(schema.name, list(target_columns), source), timing,
-            target_sql)
-        return HQResult(kind="count", rowcount=inserted, timing=timing,
-                        target_sql=target_sql)
+            r.Insert(schema.name, list(target_columns), source), target_sql)
+        return HQResult(kind="count", rowcount=inserted, target_sql=target_sql)
     finally:
-        session.drop_scratch([stage.name], timing)
+        session.drop_scratch([stage.name])

@@ -15,7 +15,6 @@ import copy
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import EmulationError
-from repro.core.timing import RequestTiming
 from repro.frontend.teradata import ast as a
 from repro.xtra import relational as r
 from repro.xtra import scalars as s
@@ -116,30 +115,27 @@ def _rebase_predicate(session: "HyperQSession", info: _ViewInfo,
     return s.conjoin([p for p in (rebound, view_where) if p is not None])
 
 
-def run_dml(session: "HyperQSession", bound: r.Statement,
-            timing: RequestTiming) -> "HQResult":
+def run_dml(session: "HyperQSession", bound: r.Statement) -> "HQResult":
     if isinstance(bound, r.Insert):
-        return _run_insert(session, bound, timing)
+        return _run_insert(session, bound)
     if isinstance(bound, r.Update):
-        return _run_update(session, bound, timing)
+        return _run_update(session, bound)
     if isinstance(bound, r.Delete):
-        return _run_delete(session, bound, timing)
+        return _run_delete(session, bound)
     raise EmulationError(f"unsupported view DML {type(bound).__name__}")
 
 
-def _run_insert(session: "HyperQSession", bound: r.Insert,
-                timing: RequestTiming) -> "HQResult":
+def _run_insert(session: "HyperQSession", bound: r.Insert) -> "HQResult":
     info = analyze(session, bound.table)
     view_schema = session.catalog.resolve(bound.table)
     assert view_schema is not None
     view_columns = bound.columns or [col.name for col in view_schema.columns]
     base_columns = [_map_column(info, bound.table, name) for name in view_columns]
     rewritten = r.Insert(info.base_table, base_columns, bound.source)
-    return session.run_translated(rewritten, timing)
+    return session.run_translated(rewritten)
 
 
-def _run_update(session: "HyperQSession", bound: r.Update,
-                timing: RequestTiming) -> "HQResult":
+def _run_update(session: "HyperQSession", bound: r.Update) -> "HQResult":
     info = analyze(session, bound.table)
     assignments = [(_map_column(info, bound.table, name), expr)
                    for name, expr in bound.assignments]
@@ -151,7 +147,7 @@ def _run_update(session: "HyperQSession", bound: r.Update,
         (name, _rebase_expr(info, bound.table, expr))
         for name, expr in rewritten.assignments
     ]
-    return session.run_translated(rewritten, timing)
+    return session.run_translated(rewritten)
 
 
 def _rebase_expr(info: _ViewInfo, view_name: str,
@@ -174,10 +170,9 @@ def _rebase_expr(info: _ViewInfo, view_name: str,
     return rewrite(copy.deepcopy(expr))
 
 
-def _run_delete(session: "HyperQSession", bound: r.Delete,
-                timing: RequestTiming) -> "HQResult":
+def _run_delete(session: "HyperQSession", bound: r.Delete) -> "HQResult":
     info = analyze(session, bound.table)
     predicate = _rebase_predicate(session, info, bound.table, bound.predicate,
                                   None)
     rewritten = r.Delete(info.base_table, predicate, None)
-    return session.run_translated(rewritten, timing)
+    return session.run_translated(rewritten)

@@ -11,8 +11,9 @@ row batches go straight to the Result Converter's compiled codec.)
 
 Statements the target cannot express are routed to the emulators in
 :mod:`repro.core.emulation`, which issue multiple target requests and keep
-mid-tier state. Per-request stage timings (Figure 9) and tracked-feature
-observations (Figure 8) are collected on the way through.
+mid-tier state. Per-request stage timings (Figure 9, charged to the request
+scope of :mod:`repro.core.timing`) and tracked-feature observations
+(Figure 8) are collected on the way through.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import functools
 import re
 import threading
+import time
 
 from dataclasses import dataclass, field
 from typing import Optional
@@ -27,6 +29,7 @@ from typing import Optional
 from repro.errors import HyperQError, UnsupportedFeatureError
 from repro.backend.engine import Database
 from repro.core import deps as deps_mod
+from repro.core import timing as timing_mod
 from repro.core import trace as trace_mod
 from repro.core.budget import BatchBudget
 from repro.core.cache import Fingerprint, TranslationCache
@@ -37,7 +40,7 @@ from repro.core.emulation import (
 )
 from repro.core.faults import ResilienceStats, RetryPolicy
 from repro.core.result_cache import ResultCache, ResultEntry
-from repro.core.timing import RequestTiming, TimingLog
+from repro.core.timing import RequestTiming, TimingLog, site
 from repro.core.trace import TraceHub, render_trace
 from repro.core.tracker import FeatureTracker
 from repro.frontend.teradata import ast as td_ast
@@ -64,6 +67,7 @@ class HQResult:
     streaming from the backend; :attr:`rows` and :attr:`rowcount` are
     compatibility shims that drain the stream (buffering through the
     Result Store, which spills past the memory budget) on first access.
+    :attr:`timing` is the timing of the request that built the result.
     """
 
     def __init__(self, kind: str,
@@ -71,14 +75,13 @@ class HQResult:
                  metas: Optional[list[ColumnMeta]] = None,
                  converted: Optional[ConvertedResult] = None,
                  rowcount: Optional[int] = None,
-                 timing: Optional[RequestTiming] = None,
                  target_sql: Optional[list[str]] = None):
         self.kind = kind  # "rows" | "count" | "ok"
         self.columns = columns if columns is not None else []
         self.metas = metas if metas is not None else []
         self.converted = converted
         self._rowcount = rowcount
-        self.timing = timing if timing is not None else RequestTiming()
+        self.timing = timing_mod.current() or RequestTiming()
         self.target_sql = target_sql if target_sql is not None else []
 
     @property
@@ -379,7 +382,6 @@ class HyperQSession:
         #: The routes this target takes to the mid-tier (see ``_ROUTES``).
         self._routes = _emulated_routes(engine.profile)
         self._temp_counter = 0
-        self._original_ddl: dict[str, str] = {}
         #: Armed :class:`_ResultCapture` consumed by the next
         #: :meth:`package_result` (result-cache materialize-through).
         self._pending_capture: Optional[_ResultCapture] = None
@@ -412,7 +414,8 @@ class HyperQSession:
         admin = _ADMIN_COMMAND_RE.match(sql)
         if admin is not None:
             return self._run_admin(admin)
-        with self.engine.tracing.request("request", sql):
+        with self.engine.tracing.request("request", sql), \
+                timing_mod.request(self.engine):
             tenant = self.tenant
             if tenant is not None:
                 # Per-tenant tagging: a trace event on the request's root
@@ -430,14 +433,13 @@ class HyperQSession:
         if self.tracker is not None:
             self.tracker.begin_query()
         try:
-            timing = RequestTiming()
             fp, params_key, hit = self._cache_lookup(
-                sql, parameters, named_parameters, timing)
+                sql, parameters, named_parameters)
             if hit is not None:
                 if hit.result_shareable:
                     rc_key = self._result_cache_key(fp, params_key)
                     if rc_key is not None:
-                        replayed = self._result_cache_replay(rc_key, timing)
+                        replayed = self._result_cache_replay(rc_key)
                         if replayed is not None:
                             return replayed
                         # Re-materialize on this execution: the translation
@@ -446,9 +448,8 @@ class HyperQSession:
                         self._arm_result_capture(rc_key, hit.deps, hit.notes)
                 self._replay_notes(hit.notes)
                 try:
-                    result = self.package_result(
-                        self.run_target_sql(hit.target_sql, timing), timing,
-                        [hit.target_sql])
+                    return self.package_result(
+                        self.run_target_sql(hit.target_sql), [hit.target_sql])
                 finally:
                     self._pending_capture = None
                     # The hit skipped binding, so the entry names what the
@@ -456,25 +457,22 @@ class HyperQSession:
                     # keeps serving rows from before a repeated UPDATE.
                     if hit.write_tables:
                         self.engine.shadow.bump_data(*hit.write_tables)
-                self.engine.timing_log.record(timing)
-                return result
-            with timing.measure("translation"):
-                bound = self._bind_sql(sql, parameters, named_parameters)
+            bound = self._bind_sql(sql, parameters, named_parameters)
             route = self._route(bound)
             cache_key = self._cacheable_key(fp, bound, route)
-            stmt_deps = self._extract_deps(bound, timing)
+            stmt_deps = self._extract_deps(bound)
             if cache_key is not None and isinstance(bound, r.Query) \
                     and stmt_deps is not None and stmt_deps.shareable:
                 rc_key = self._result_cache_key(fp, params_key)
                 if rc_key is not None:
                     # Translation missed but the result may still be cached
                     # (the two caches evict independently).
-                    replayed = self._result_cache_replay(rc_key, timing)
+                    replayed = self._result_cache_replay(rc_key)
                     if replayed is not None:
                         return replayed
                     self._arm_result_capture(rc_key, stmt_deps.all_tables, None)
             return self._run_bound(
-                bound, route, timing, stmt_deps,
+                bound, route, stmt_deps,
                 None if cache_key is None else (cache_key, fp, params_key))
         finally:
             if self.tracker is not None:
@@ -491,10 +489,10 @@ class HyperQSession:
         if self.ansi_frontend is not None:
             results = []
             for spec in self.ansi_frontend.parse_script(sql):
-                timing = RequestTiming()
-                with timing.measure("translation"):
-                    bound = self.ansi_frontend.lower_spec(spec)
-                results.append(self._run_bound(bound, self._route(bound), timing))
+                with timing_mod.request(self.engine):
+                    with site("frontend"):
+                        bound = self.ansi_frontend.lower_spec(spec)
+                    results.append(self._run_bound(bound, self._route(bound)))
             return results
         if _ADMIN_COMMAND_HINT_RE.search(sql) is not None:
             # Admin commands never reach the parser, so a script holding
@@ -510,11 +508,11 @@ class HyperQSession:
         if self.tracker is not None:
             self.tracker.begin_query()
         try:
-            with self.engine.tracing.request("request", type(ast).__name__):
-                timing = RequestTiming()
-                with timing.measure("translation"), trace_mod.span("bind"):
+            with self.engine.tracing.request("request", type(ast).__name__), \
+                    timing_mod.request(self.engine):
+                with site("bind"):
                     bound = self.binder.bind(ast)
-                return self._run_bound(bound, self._route(bound), timing)
+                return self._run_bound(bound, self._route(bound))
         finally:
             if self.tracker is not None:
                 self.tracker.end_query()
@@ -530,24 +528,26 @@ class HyperQSession:
         def flush() -> None:
             if pending:
                 for bound in batch_statements(pending):
-                    results.append(self._run_bound(
-                        bound, self._route(bound), RequestTiming()))
+                    with timing_mod.request(self.engine):
+                        results.append(self._run_bound(
+                            bound, self._route(bound)))
                 pending.clear()
 
         for ast in statements:
             if self.tracker is not None:
                 self.tracker.begin_query()
             try:
-                timing = RequestTiming()
-                with timing.measure("translation"):
-                    bound = self.binder.bind(ast)
-                route = self._route(bound)
-                if route is None and isinstance(bound, r.Insert) \
-                        and _is_batchable_insert(bound):
-                    pending.append(bound)
-                    continue
-                flush()
-                results.append(self._run_bound(bound, route, timing))
+                with timing_mod.request(self.engine) as scope:
+                    with site("frontend"):
+                        bound = self.binder.bind(ast)
+                    route = self._route(bound)
+                    if route is None and isinstance(bound, r.Insert) \
+                            and _is_batchable_insert(bound):
+                        pending.append(bound)
+                        scope.discard()
+                        continue
+                    flush()
+                    results.append(self._run_bound(bound, route))
             finally:
                 if self.tracker is not None:
                     self.tracker.end_query()
@@ -571,7 +571,7 @@ class HyperQSession:
                 self.tracker.end_query()
 
     def _translate_traced(self, sql: str) -> TranslationResult:
-        fp, params_key, hit = self._cache_lookup(sql, None, {}, None)
+        fp, params_key, hit = self._cache_lookup(sql, None, {})
         if hit is not None:
             self._replay_notes(hit.notes)
             return TranslationResult("sql", [hit.target_sql])
@@ -584,7 +584,7 @@ class HyperQSession:
             return TranslationResult("emulated", emulated_feature=route)
         if isinstance(bound, (r.NoOp, r.SetSessionParam)):
             return TranslationResult("ok")
-        stmt_deps = (self._extract_deps(bound, None)
+        stmt_deps = (self._extract_deps(bound)
                      if cache_key is not None else None)
         target_sql = self._translate_step(bound)
         if cache_key is not None:
@@ -600,15 +600,17 @@ class HyperQSession:
                 raise HyperQError(
                     "parameter binding is implemented for the "
                     "Teradata frontend only")
-            with trace_mod.span("parse"):
+            with site("parse"):
                 return self.ansi_frontend.bind_statement(sql)
-        with trace_mod.span("parse", bytes=len(sql)):
+        with site("parse") as span:
+            if span is not None:
+                span.annotate("bytes", len(sql))
             ast = self.parser.parse_statement(sql)
-        if parameters or named_parameters:
-            from repro.frontend.teradata.parameters import bind_parameters
+        with site("bind"):
+            if parameters or named_parameters:
+                from repro.frontend.teradata.parameters import bind_parameters
 
-            bind_parameters(ast, parameters, named_parameters)
-        with trace_mod.span("bind"):
+                bind_parameters(ast, parameters, named_parameters)
             return self.binder.bind(ast)
 
     def close(self) -> None:
@@ -630,7 +632,6 @@ class HyperQSession:
         hub = self.engine.tracing
         fleet = self.engine.fleet
         what = match.group("what").upper()
-        timing = RequestTiming()
         if what == "METRICS":
             lines = None
             if fleet is not None:
@@ -673,7 +674,7 @@ class HyperQSession:
                     lines.append(f"# fleet aggregation unavailable: {exc}")
                     return self.fabricate_result(
                         ["LINE"], [t.varchar(2048)],
-                        [(line,) for line in lines], timing)
+                        [(line,) for line in lines])
             if report is None:
                 report = tenancy_mod.tenant_report(self.engine)
             lines = (tenancy_mod.render_tenants(report, workers).splitlines()
@@ -703,7 +704,7 @@ class HyperQSession:
                         f"(ids: {hub.trace_ids() or 'none'})")
                 lines = render_trace(trace)
         return self.fabricate_result(
-            ["LINE"], [t.varchar(2048)], [(line,) for line in lines], timing)
+            ["LINE"], [t.varchar(2048)], [(line,) for line in lines])
 
     # -- workload management ---------------------------------------------------------
 
@@ -756,8 +757,7 @@ class HyperQSession:
     #: mutation, mid-tier default evaluation) always bypass.
     _CACHEABLE_KINDS = (r.Query, r.Update, r.Delete)
 
-    def _cache_lookup(self, sql: str, parameters, named_parameters,
-                      timing: Optional[RequestTiming]):
+    def _cache_lookup(self, sql: str, parameters, named_parameters):
         """Fingerprint *sql* and probe the shared cache.
 
         Returns ``(fingerprint, params_key, hit)``; everything is ``None``
@@ -767,11 +767,7 @@ class HyperQSession:
         cache = self.engine.cache
         if cache is None or self.ansi_frontend is not None:
             return None, None, None
-        from contextlib import nullcontext
-
-        stage = (timing.measure("cache_lookup") if timing is not None
-                 else nullcontext())
-        with stage, trace_mod.span("cache_lookup") as span:
+        with site("cache_lookup") as span:
             try:
                 fp = cache.fingerprint_cached(sql, self.parser.lexer)
             except Exception:
@@ -827,19 +823,16 @@ class HyperQSession:
 
     # -- semantic dependencies and the result cache ------------------------------------
 
-    def _extract_deps(self, bound: r.Statement, timing):
-        """Dependency footprint of *bound* (timed as ``dependency_extract``).
+    def _extract_deps(self, bound: r.Statement,
+                      site_name: str = "dependency_extract"):
+        """Dependency footprint of *bound*, timed at *site_name*.
 
         Extraction failures degrade to ``None`` — callers treat that as
         "unknown deps": wildcard translation entries, no result caching,
         no data bump (the schema channel still catches DDL).
         """
-        from contextlib import nullcontext
-
-        stage = (timing.measure("dependency_extract") if timing is not None
-                 else nullcontext())
         try:
-            with stage, trace_mod.span("dependency_extract") as span:
+            with site(site_name) as span:
                 stmt_deps = deps_mod.extract(bound, self.catalog)
                 if span is not None:
                     span.annotate("tables", len(stmt_deps.all_tables))
@@ -858,7 +851,7 @@ class HyperQSession:
         """
         if isinstance(bound, (r.Insert, r.Update, r.Delete, r.Merge)):
             if stmt_deps is None:
-                stmt_deps = self._extract_deps(bound, None)
+                stmt_deps = self._extract_deps(bound, "write_deps")
             if stmt_deps is not None and stmt_deps.write_tables:
                 self.engine.shadow.bump_data(*stmt_deps.write_tables)
             elif stmt_deps is None:
@@ -876,9 +869,8 @@ class HyperQSession:
         return (self.engine.source, self.profile.name, fp.text,
                 fp.values_key(), params_key)
 
-    def _result_cache_replay(self, rc_key: tuple, timing) -> Optional[HQResult]:
-        """Serve a materialized result with zero backend calls (its timing
-        recorded), or None.
+    def _result_cache_replay(self, rc_key: tuple) -> Optional[HQResult]:
+        """Serve a materialized result with zero backend calls, or None.
 
         A hit hands the wire the chunks a live run sent — no decode, no
         re-encode — so the client-visible bytes match that run; the cache
@@ -886,8 +878,7 @@ class HyperQSession:
         """
         rcache = self.engine.result_cache
         metrics = self.engine.tracing.metrics
-        with timing.measure("dependency_extract"), \
-                trace_mod.span("result_cache") as span:
+        with site("result_cache") as span:
             entry = rcache.lookup(rc_key, self.engine.shadow.version_vector)
             if span is not None:
                 span.annotate("hit", entry is not None)
@@ -901,13 +892,13 @@ class HyperQSession:
         metas = list(entry.metas)
         converted = ConvertedResult(metas=metas, chunks=list(entry.chunks),
                                     rowcount=entry.rowcount)
-        timing.mark_first_row()
-        self.engine.timing_log.record(timing)
-        return HQResult(
+        result = HQResult(
             kind="rows", columns=[meta.name for meta in metas], metas=metas,
-            converted=converted, rowcount=entry.rowcount, timing=timing,
+            converted=converted, rowcount=entry.rowcount,
             target_sql=[entry.target_sql] if entry.target_sql else [],
         )
+        result.timing.mark_first_row()
+        return result
 
     def _arm_result_capture(self, rc_key: tuple, dep_tables, notes):
         """Prepare to materialize the next packaged result into the result
@@ -992,68 +983,76 @@ class HyperQSession:
 
     def _translate_step(self, bound: r.Statement) -> str:
         """Transform and serialize one bound statement into target SQL,
-        each under its span: the one translate step of every path."""
-        with trace_mod.span("transform"):
+        each under its site: the one translate step of every path. A
+        CREATE TABLE first has its PERIOD columns split into begin/end DATE
+        columns (Section 2.2.2), so translate() shows the DDL execute()
+        runs."""
+        if isinstance(bound, r.CreateTable):
+            bound.schema = column_props.split_period_columns(self, bound.schema)
+        with site("transform"):
             self.transformer.transform(bound)
-        with trace_mod.span("serialize") as span:
+        with site("serialize") as span:
             sql = self.serializer.serialize(bound)
             if span is not None:
                 span.annotate("bytes", len(sql))
         return sql
 
-    def run_translated(self, bound: r.Statement, timing: RequestTiming) -> HQResult:
+    def run_translated(self, bound: r.Statement) -> HQResult:
         """Transform + serialize + execute one statement on the target."""
-        with timing.measure("translation"):
-            sql = self._translate_step(bound)
-        return self.package_result(self.run_target_sql(sql, timing), timing,
-                                   [sql])
+        sql = self._translate_step(bound)
+        return self.package_result(self.run_target_sql(sql), [sql])
 
-    def run_step(self, bound: r.Statement, timing: RequestTiming,
-                 target_sql: list[str]) -> int:
+    def run_step(self, bound: r.Statement, target_sql: list[str]) -> int:
         """One target statement of an emulation: run *bound* translated,
         append its SQL to *target_sql*, return its row count."""
-        result = self.run_translated(bound, timing)
+        result = self.run_translated(bound)
         target_sql.extend(result.target_sql)
         return result.rowcount
 
-    def run_target_sql(self, sql: str, timing: RequestTiming) -> OdbcResult:
+    def run_target_sql(self, sql: str) -> OdbcResult:
         """Execute already-serialized target SQL (timed as ``execution``):
         the one run step every target statement takes."""
-        with timing.measure("execution"):
+        with site("execute"):
             return self.odbc.execute(sql)
 
-    def drop_scratch(self, names, timing: RequestTiming) -> None:
+    def drop_scratch(self, names) -> None:
         """Best-effort DROP of an emulator's scratch tables: clean-up never
         masks the outcome of the statement it followed."""
         for name in names:
             try:
-                self.run_target_sql(f"DROP TABLE IF EXISTS {name}", timing)
+                self.run_target_sql(f"DROP TABLE IF EXISTS {name}")
             except Exception:  # pragma: no cover - best-effort cleanup
                 pass
 
-    def run_nested(self, ast: td_ast.TdStatement,
-                   timing: RequestTiming) -> HQResult:
-        """Bind and run one statement of a macro or procedure body inside
-        the calling request, which bumps data epochs and records timing."""
-        with timing.measure("translation"):
-            bound = self.binder.bind(ast)
-        return self._dispatch(bound, self._route(bound), timing)
+    def parse_nested(self, sql: str) -> list[td_ast.TdStatement]:
+        """Parse a macro body inside the calling request, which is charged
+        its time."""
+        with site("frontend"):
+            return self.parser.parse_script(sql)
 
-    def package_result(self, odbc_result: OdbcResult, timing: RequestTiming,
+    def run_nested(self, ast: td_ast.TdStatement) -> HQResult:
+        """Bind and run one statement of a macro or procedure body inside
+        the calling request, which bumps data epochs and is charged its
+        time."""
+        with site("frontend"):
+            bound = self.binder.bind(ast)
+        return self._dispatch(bound, self._route(bound))
+
+    def package_result(self, odbc_result: OdbcResult,
                        target_sql: list[str]) -> HQResult:
         """Set up the row batch -> source-binary path on a target result.
 
         The returned result streams: row batches are pulled from the ODBC
         Server and encoded chunk by chunk as the caller consumes them, so
         no layer holds more than one batch (plus the bounded Result Store,
-        if the consumer buffers). Backend pull time lands in the
-        ``execution`` timing stage, checking and encoding in
-        ``result_conversion``.
+        if the consumer buffers). The stream is charged to the current
+        request: backend pull time to its ``execution`` stage, checking and
+        encoding to ``result_conversion``.
         """
         capture, self._pending_capture = self._pending_capture, None
         if odbc_result.kind != "rows":
             return HQResult(kind=odbc_result.kind, rowcount=odbc_result.rowcount,
-                            timing=timing, target_sql=target_sql)
+                            target_sql=target_sql)
         tee = None
         if capture is not None and self.engine.result_cache is not None:
             if capture.notes is None:  # armed on a miss, now translated
@@ -1062,36 +1061,20 @@ class HyperQSession:
             tee = functools.partial(
                 self._capturing_chunks, capture,
                 target_sql[0] if len(target_sql) == 1 else "")
-        converted = self.converter.encode_stream(
+        result = HQResult(kind="rows", columns=odbc_result.columns,
+                          target_sql=target_sql)
+        result.converted = self.converter.encode_stream(
             odbc_result.columns,
-            self._timed_batches(odbc_result, timing),
+            _timed_batches(odbc_result.fetch_rows(),
+                           timing_mod.charger("fetch")),
             odbc_result.column_types,
-            timing=timing,
-            on_first_chunk=timing.mark_first_row,
+            on_first_chunk=result.timing.mark_first_row,
             tee=tee)
-        return HQResult(
-            kind="rows",
-            columns=odbc_result.columns,
-            metas=converted.metas,
-            converted=converted,
-            timing=timing,
-            target_sql=target_sql,
-        )
-
-    @staticmethod
-    def _timed_batches(odbc_result: OdbcResult, timing: RequestTiming):
-        """Charge lazy backend batch pulls to the ``execution`` stage."""
-        source = odbc_result.fetch_rows()
-        while True:
-            with timing.measure("execution"):
-                rows = next(source, None)
-            if rows is None:
-                return
-            yield rows
+        result.metas = result.converted.metas
+        return result
 
     def fabricate_result(self, columns: list[str], types: list[t.SQLType],
-                         rows: list[tuple], timing: RequestTiming,
-                         target_sql: Optional[list[str]] = None) -> HQResult:
+                         rows: list[tuple]) -> HQResult:
         """Build a result entirely in the mid-tier (HELP/SHOW commands),
         still flowing through the Result Converter so the client sees the
         same binary shape as real query results."""
@@ -1099,13 +1082,10 @@ class HyperQSession:
         # so the wire chunks) these results have always had.
         batches = [rows[start:start + 1024]
                    for start in range(0, len(rows), 1024)] or [[]]
-        with timing.measure("result_conversion"):
-            converted = self.converter.encode(columns, batches, types)
+        converted = self.converter.encode(columns, batches, types)
         return HQResult(
             kind="rows", columns=columns, metas=converted.metas,
-            converted=converted, rowcount=converted.rowcount, timing=timing,
-            target_sql=target_sql or [],
-        )
+            converted=converted, rowcount=converted.rowcount)
 
     # -- routing and dispatch ----------------------------------------------------------
 
@@ -1120,29 +1100,27 @@ class HyperQSession:
                 return feature
         return None
 
-    def _dispatch(self, bound: r.Statement, route: Optional[str],
-                  timing: RequestTiming) -> HQResult:
+    def _dispatch(self, bound: r.Statement, route: Optional[str]) -> HQResult:
         """Run *bound* by its route: its feature's emulator, or on the
         target as translated SQL."""
         if route is not None:
             self._note(route)
-            return self._routes[route][2](self, bound, timing)
+            return self._routes[route][2](self, bound)
         if isinstance(bound, r.NoOp):
-            return HQResult(kind="ok", timing=timing)
+            return HQResult(kind="ok")
         if isinstance(bound, r.SetSessionParam):
             self.session_params[bound.name.upper()] = bound.value
-            return HQResult(kind="ok", timing=timing)
+            return HQResult(kind="ok")
         if isinstance(bound, r.Transaction):
-            self.run_target_sql(bound.action, timing)
-            return HQResult(kind="ok", timing=timing)
+            self.run_target_sql(bound.action)
+            return HQResult(kind="ok")
         if isinstance(bound, r.Insert):
             schema = self.catalog.resolve(bound.table)
             if schema is not None:
                 bound = column_props.fill_nonconstant_defaults(
                     self, schema, bound)
         elif isinstance(bound, r.CreateTable):
-            return self._create_table(bound, timing,
-                                      self.engine.shadow.add_table)
+            return self._create_table(bound, self.engine.shadow.add_table)
         elif isinstance(bound, r.CreateView):
             self._add_view(bound)
         elif isinstance(bound, (r.DropTable, r.DropView)):
@@ -1152,46 +1130,41 @@ class HyperQSession:
             else:
                 kind = "TABLE"
                 self.catalog.drop_table(bound.name)  # volatile overlay first
-            self.run_target_sql(f"DROP {kind} {bound.name}", timing)
-            return HQResult(kind="ok", timing=timing)
+            self.run_target_sql(f"DROP {kind} {bound.name}")
+            return HQResult(kind="ok")
         elif not isinstance(bound, (r.Query, r.Update, r.Delete, r.Merge)):
             raise UnsupportedFeatureError(
                 f"no execution path for {type(bound).__name__}")
-        return self.run_translated(bound, timing)
+        return self.run_translated(bound)
 
     def _run_bound(self, bound: r.Statement, route: Optional[str],
-                   timing: RequestTiming, stmt_deps=None,
-                   memo: Optional[tuple] = None) -> HQResult:
+                   stmt_deps=None, memo: Optional[tuple] = None) -> HQResult:
         """The post-bind runner of every request path: dispatch, bump the
         data epoch of what the statement wrote, memoize a one-statement
-        translation under *memo* ``(key_base, fingerprint, params_key)``,
-        record the timing."""
+        translation under *memo* ``(key_base, fingerprint, params_key)``."""
         try:
-            result = self._dispatch(bound, route, timing)
+            result = self._dispatch(bound, route)
         finally:
             self._pending_capture = None
             self._note_data_write(bound, stmt_deps)
         if memo is not None and len(result.target_sql) == 1:
-            with timing.measure("cache_lookup"):
+            with site("cache_insert"):
                 self._cache_insert(*memo, result.target_sql[0], bound,
                                    stmt_deps)
-        result.timing = timing
-        self.engine.timing_log.record(timing)
         return result
 
-    def _create_table(self, bound: r.CreateTable, timing: RequestTiming,
-                      register) -> HQResult:
-        """CREATE TABLE: PERIOD columns split into begin/end DATE columns
-        (Section 2.2.2), the schema *register*-ed, then the DDL run."""
-        schema, __ = column_props.split_period_columns(self, bound.schema)
-        bound.schema = schema
+    def _create_table(self, bound: r.CreateTable, register) -> HQResult:
+        """CREATE TABLE: translated (PERIOD columns split), the split schema
+        *register*-ed, then the DDL run."""
+        schema = bound.schema
         if schema.set_semantics and "set_table" in self._routes:
             self._note("set_table")
         if any(col.default_sql and not _is_constant_default(col.default_sql)
                for col in schema.columns):
             self._note("column_properties")
-        register(schema)
-        return self.run_translated(bound, timing)
+        sql = self._translate_step(bound)
+        register(bound.schema)
+        return self.package_result(self.run_target_sql(sql), [sql])
 
     def _add_view(self, bound: r.CreateView) -> None:
         columns = [ColumnSchema(name, col.type)
@@ -1268,11 +1241,24 @@ def _is_constant_default(sql: str) -> bool:
     return True
 
 
-def _create_volatile(session: HyperQSession, bound: r.CreateTable,
-                     timing: RequestTiming) -> HQResult:
+def _timed_batches(source, charge):
+    """Charge lazy backend batch pulls to the request that built the
+    stream (*charge*, taken when it was built)."""
+    clock = time.perf_counter
+    while True:
+        start = clock()
+        rows = next(source, None)
+        charge(clock() - start)
+        if rows is None:
+            return
+        yield rows
+
+
+def _create_volatile(session: HyperQSession,
+                     bound: r.CreateTable) -> HQResult:
     """A VOLATILE table on a target without session-scoped tables: the
     schema lives in the session's catalog overlay, not the shared one."""
-    return session._create_table(bound, timing, session.catalog.add_volatile)
+    return session._create_table(bound, session.catalog.add_volatile)
 
 
 #: The routing table (DESIGN mirrors it). ``feature: (kinds, flag, applies,

@@ -22,12 +22,22 @@ start until the first converted chunk is available to the wire. It is a
 point-in-time mark, not an accumulating stage — it overlaps translation and
 execution — so it is reported separately and never folded into ``total``.
 
-:class:`RequestTiming` collects these for one request; :class:`TimingLog`
-keeps running sums across a workload run (constant size, however long the
-engine lives). A request's stage time that lands after it was recorded —
-result conversion runs as the client pulls the stream — still reaches the
-sums, because a recorded timing forwards later increments to its log. A
-log constructed with a
+Where the time comes from: :class:`request` opens the request scope, a
+context variable holding the request's :class:`RequestTiming`, and records
+it into the engine's :class:`TimingLog` once, when the request completes.
+Every instrumented site is one :class:`site` block; the :data:`SITES` table
+says which stage it charges and which trace span (if any) it opens, so the
+Figure 9 stage and the span of one code interval come from one block.
+Statements an emulator or a macro issues run inside the calling request's
+scope and charge it. A lazy result stream outlives its scope: it takes the
+request's accumulator once, when it is built (:func:`charger`), and its
+per-batch timers add to it directly.
+
+:class:`TimingLog` keeps running sums across a workload run (constant size,
+however long the engine lives). A request's stage time that lands after it
+was recorded — result conversion runs as the client pulls the stream — still
+reaches the sums, because a recorded timing forwards later increments to its
+log. A log constructed with a
 :class:`~repro.core.trace.MetricsRegistry` additionally feeds per-stage
 latency histograms (``hyperq_stage_seconds_<stage>``) and the request
 counter on every record, so the Figure 9 instrumentation and the
@@ -36,19 +46,72 @@ observability layer read from one stream.
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
+
+from repro.core import trace as trace_mod
 
 #: Stage names accepted by :meth:`RequestTiming.measure`.
 STAGES = ("translation", "execution", "result_conversion", "cache_lookup",
           "dependency_extract", "queue_wait")
 
+#: Every instrumented site: the stage its time is charged to (None: no
+#: stage) and the trace span it opens (None: a bare timer). ``queue_wait``
+#: is charged by the workload manager after the request returns.
+SITES = {
+    # site:               (stage,                span)
+    "parse":              ("translation",        "parse"),
+    "bind":               ("translation",        "bind"),
+    # Parses and binds with no span of their own: script statements, macro
+    # and procedure body statements, the ANSI frontend's script lowering.
+    "frontend":           ("translation",        None),
+    "transform":          ("translation",        "transform"),
+    "serialize":          ("translation",        "serialize"),
+    "cache_lookup":       ("cache_lookup",       "cache_lookup"),
+    "cache_insert":       ("cache_lookup",       None),
+    "dependency_extract": ("dependency_extract", "dependency_extract"),
+    # Extraction for the data-epoch bump of a script statement, which had
+    # none extracted before it ran: traced, charged to no stage.
+    "write_deps":         (None,                 "dependency_extract"),
+    "result_cache":       ("dependency_extract", "result_cache"),
+    "execute":            ("execution",          None),
+    # Per-batch timers of a lazy result stream (see :func:`charger`).
+    "fetch":              ("execution",          None),
+    "convert":            ("result_conversion",  None),
+}
+
+#: The current request's timing (None outside a request scope).
+_CURRENT: contextvars.ContextVar[Optional["RequestTiming"]] = \
+    contextvars.ContextVar("hyperq_request_timing", default=None)
+
+
+class _StageSums:
+    """Totals over the :data:`STAGES` attributes, summed in table order."""
+
+    @property
+    def total(self) -> float:
+        return sum(getattr(self, stage) for stage in STAGES)
+
+    @property
+    def overhead(self) -> float:
+        """Hyper-Q's share (everything but execution)."""
+        return sum(getattr(self, stage) for stage in STAGES
+                   if stage != "execution")
+
+    @property
+    def overhead_fraction(self) -> float:
+        """Hyper-Q overhead as a fraction of end-to-end time (Figure 9)."""
+        total = self.total
+        return self.overhead / total if total else 0.0
+
 
 @dataclass
-class RequestTiming:
+class RequestTiming(_StageSums):
     """Wall-clock seconds spent in each pipeline stage for one request."""
 
     translation: float = 0.0
@@ -69,22 +132,6 @@ class RequestTiming:
     #: The log this timing was recorded into, if any.
     _log: Optional["TimingLog"] = field(default=None, init=False, repr=False,
                                         compare=False)
-
-    @property
-    def total(self) -> float:
-        return (self.translation + self.execution + self.result_conversion
-                + self.cache_lookup + self.dependency_extract
-                + self.queue_wait)
-
-    @property
-    def overhead(self) -> float:
-        """Hyper-Q's share of the request (everything but execution)."""
-        return (self.translation + self.result_conversion + self.cache_lookup
-                + self.dependency_extract + self.queue_wait)
-
-    @property
-    def overhead_fraction(self) -> float:
-        return self.overhead / self.total if self.total else 0.0
 
     @contextmanager
     def measure(self, stage: str):
@@ -112,7 +159,7 @@ class RequestTiming:
                 self._log.add_first_row(self.first_row)
 
 
-class TimingLog:
+class TimingLog(_StageSums):
     """Running per-stage sums across many requests (Figure 9 series).
 
     *metrics*, an optional :class:`~repro.core.trace.MetricsRegistry`, is
@@ -124,12 +171,8 @@ class TimingLog:
         self.metrics = metrics
         #: Requests recorded.
         self.count = 0
-        self.translation = 0.0
-        self.execution = 0.0
-        self.result_conversion = 0.0
-        self.cache_lookup = 0.0
-        self.dependency_extract = 0.0
-        self.queue_wait = 0.0
+        for stage in STAGES:  # one running sum per stage
+            setattr(self, stage, 0.0)
         self._first_row_sum = 0.0
         self._first_row_count = 0
         self._lock = threading.Lock()
@@ -174,12 +217,6 @@ class TimingLog:
             return 0.0
         return self._first_row_sum / self._first_row_count
 
-    @property
-    def total(self) -> float:
-        return (self.translation + self.execution + self.result_conversion
-                + self.cache_lookup + self.dependency_extract
-                + self.queue_wait)
-
     def breakdown(self) -> dict[str, float]:
         """Fractions of end-to-end time per stage (sums to 1.0)."""
         total = self.total
@@ -187,11 +224,67 @@ class TimingLog:
             return {stage: 0.0 for stage in STAGES}
         return {stage: getattr(self, stage) / total for stage in STAGES}
 
-    @property
-    def overhead_fraction(self) -> float:
-        """Hyper-Q overhead as a fraction of end-to-end time (Figure 9)."""
-        total = self.total
-        if not total:
-            return 0.0
-        return (self.translation + self.result_conversion + self.cache_lookup
-                + self.dependency_extract + self.queue_wait) / total
+
+def current() -> Optional[RequestTiming]:
+    """The timing of the request whose scope is open, or None."""
+    return _CURRENT.get()
+
+
+class request:
+    """The request scope: a fresh :class:`RequestTiming` is the current one
+    for the block and is recorded into ``engine.timing_log`` when the block
+    completes (a request that raises is not recorded). Scopes nest: an inner
+    scope is a request of its own, and the outer one is current again after
+    it. :meth:`discard` drops the record — a script's batched INSERT is
+    accounted with the statement its batch runs as."""
+
+    __slots__ = ("_engine", "_token", "_timing")
+
+    def __init__(self, engine):
+        self._engine = engine
+
+    def __enter__(self) -> "request":
+        self._timing = RequestTiming()
+        self._token = _CURRENT.set(self._timing)
+        return self
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        _CURRENT.reset(self._token)
+        if exc_type is None and self._engine is not None:
+            self._engine.timing_log.record(self._timing)
+
+    def discard(self) -> None:
+        self._engine = None
+
+
+class site:
+    """Time one instrumented site: charge its :data:`SITES` stage on the
+    current request and open its trace span, if it has one (``as`` binds
+    the span, or None). Outside a request scope only the span is kept."""
+
+    __slots__ = ("_stage", "_span", "_timing", "_start")
+
+    def __init__(self, name: str):
+        stage, span = SITES[name]
+        self._stage = stage
+        self._span = None if span is None else trace_mod.span(span)
+
+    def __enter__(self) -> Optional[trace_mod.Span]:
+        self._timing = None if self._stage is None else _CURRENT.get()
+        self._start = time.perf_counter()
+        return None if self._span is None else self._span.__enter__()
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        if self._span is not None:
+            self._span.__exit__(exc_type, exc, traceback)
+        if self._timing is not None:
+            self._timing.add(self._stage, time.perf_counter() - self._start)
+
+
+def charger(name: str) -> Callable[[float], None]:
+    """The current request's accumulator for site *name*'s stage, taken
+    once: a lazy stream's per-batch timers run after the scope has closed,
+    often on another thread, and pay no lookup per batch. Outside a request
+    scope the seconds go to a timing nobody reads."""
+    timing = _CURRENT.get() or RequestTiming()
+    return functools.partial(timing.add, SITES[name][0])

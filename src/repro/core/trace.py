@@ -11,9 +11,14 @@ digests; emulator child statements, retries, and failovers appear as child
 spans of ``execution`` via context propagation.
 
 Alongside traces, a :class:`MetricsRegistry` holds process-wide counters,
-gauges, and mergeable log-linear histograms (p50/p95/p99) — the single home
-for the ad-hoc counters that used to live in :mod:`repro.core.timing` and
-:mod:`repro.core.tracker`.
+gauges, and mergeable log-linear histograms (p50/p95/p99). It sits beside
+the other counting layers rather than replacing them: the Figure 9 stage
+sums stay in :class:`repro.core.timing.TimingLog`, which mirrors each
+record into the registry, and the Figure 8 feature counts stay in
+:class:`repro.core.tracker.FeatureTracker`, which mirrors only its
+resilience and workload counts here. The sites of :mod:`repro.core.timing`
+open the spans of the intervals they time, so a Figure 9 stage and its
+span come from one block.
 
 Sinks (owned by :class:`TraceHub`, one per engine, typically one per
 process):

@@ -13,12 +13,13 @@ are the adapters for callers that hold TDF packets.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional
 
 from repro import tdf
 from repro.errors import ConversionError
+from repro.core import timing as timing_mod
 from repro.core import trace as trace_mod
 from repro.protocol.encoding import (
     ColumnMeta, RowCodec, decode_rows, effective_meta)
@@ -179,7 +180,6 @@ class ResultConverter:
     def encode_stream(self, columns: list[str],
                       row_batches: Iterable[list[tuple]],
                       declared_types: Optional[list[SQLType]] = None,
-                      timing=None,
                       on_first_chunk: Optional[Callable[[], None]] = None,
                       tee: Optional[Callable[[list[ColumnMeta], Iterator],
                                              Iterator]] = None,
@@ -191,39 +191,38 @@ class ResultConverter:
         front (it supplies the sample for meta inference, and it makes a
         malformed result fail at convert time). Each batch passes
         :func:`repro.tdf.conform_batch` and one compiled codec per stream
-        encodes it; that time is accumulated into the ``result_conversion``
-        stage of *timing* as the stream is consumed. *tee*, given the metas
-        and the ``(chunk, rows)`` stream, returns the stream the result will
-        consume (the result cache captures chunks this way).
+        encodes it; that time is charged to the ``result_conversion`` stage
+        of the request building the stream, as the stream is consumed.
+        *tee*, given the metas and the ``(chunk, rows)`` stream, returns the
+        stream the result will consume (the result cache captures chunks
+        this way).
         """
-        def measure():
-            return (timing.measure("result_conversion")
-                    if timing is not None else nullcontext())
-
+        charge = timing_mod.charger("convert")
+        clock = time.perf_counter
         width = len(columns)
         iterator = iter(row_batches)
         first = next(iterator, None)  # backend pull, not conversion
         if first is None:
             return StreamingResult([], iter(()), self._max_memory,
                                    self._spill_dir, on_first_chunk)
-        with measure():
-            first = tdf.conform_batch(width, first)
-            metas = effective_meta(columns, declared_types or [], first)
+        start = clock()
+        first = tdf.conform_batch(width, first)
+        metas = effective_meta(columns, declared_types or [], first)
+        charge(clock() - start)
         codec = RowCodec.for_metas(metas)  # one compiled codec per stream
 
-        def conformed() -> Iterator[list[tuple]]:
-            yield first
-            for rows in iterator:  # backend pull, not conversion
-                with measure():
-                    rows = tdf.conform_batch(width, rows)
-                yield rows
-
         def chunk_source() -> Iterator[tuple[bytes, int]]:
-            encode = codec.encode
-            for rows in conformed():
-                with measure():
-                    chunk = encode(rows)
+            encode, conform = codec.encode, tdf.conform_batch
+            rows, start = first, clock()
+            while True:
+                chunk = encode(rows)
+                charge(clock() - start)
                 yield chunk, len(rows)
+                rows = next(iterator, None)  # backend pull, not conversion
+                if rows is None:
+                    return
+                start = clock()
+                rows = conform(width, rows)
 
         def traced_source() -> Iterator[tuple[bytes, int]]:
             # One span covers the whole lazy conversion, opened at first
@@ -263,7 +262,6 @@ class ResultConverter:
 
     def convert_stream(self, batches: Iterable[bytes],
                        declared_types: Optional[list[SQLType]] = None,
-                       timing=None,
                        on_first_chunk: Optional[Callable[[], None]] = None,
                        ) -> StreamingResult:
         """TDF adapter over :meth:`encode_stream`: each packet is decoded
@@ -271,7 +269,7 @@ class ResultConverter:
         names)."""
         columns, row_batches = _decode_first(iter(batches))
         return self.encode_stream(columns, row_batches, declared_types,
-                                  timing=timing, on_first_chunk=on_first_chunk)
+                                  on_first_chunk=on_first_chunk)
 
     def convert(self, batches: Iterable[bytes],
                 declared_types: Optional[list[SQLType]] = None

@@ -78,3 +78,29 @@ def test_translate_and_execute_route_alike(profile, name):
         translation.kind, emulated)
     if emulated:
         assert emulated == {translation.emulated_feature}
+
+
+PERIOD_DDL = "CREATE TABLE PT (ID INTEGER, VALIDITY PERIOD(DATE))"
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_period_split_alike_in_translate_and_execute(profile):
+    """A PERIOD column is split into begin/end columns on both paths, so
+    translate() shows the DDL that execute() runs."""
+    engine = HyperQ(target=profile)
+    engine.tracker = translated_notes = FeatureTracker()
+    try:
+        translation = engine.create_session().translate(PERIOD_DDL)
+    except Exception as error:  # judged once execute() has had its say
+        translation = error
+    engine.tracker = executed_notes = FeatureTracker()
+    try:
+        result = engine.create_session().execute(PERIOD_DDL)
+    except Exception:
+        pytest.skip(f"{profile} does not execute {PERIOD_DDL}")
+    assert not isinstance(translation, Exception), (
+        f"execute() accepts the PERIOD DDL on {profile}, translate() raised "
+        f"{translation!r}")
+    assert translation.statements == result.target_sql
+    assert "column_properties" in translated_notes.observed_stages
+    assert "column_properties" in executed_notes.observed_stages

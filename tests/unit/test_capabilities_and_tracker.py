@@ -7,7 +7,8 @@ import time
 
 import pytest
 
-from repro.core.timing import RequestTiming, TimingLog
+from repro.core import timing as timing_mod
+from repro.core.timing import SITES, STAGES, RequestTiming, TimingLog
 from repro.core.tracker import FeatureTracker
 from repro.transform import capabilities as cap
 from repro.workloads.features import (
@@ -186,3 +187,60 @@ class TestTiming:
         assert log.translation == total
         assert log.execution == 2.0 * total
         assert log.result_conversion == 0.5 * total
+
+
+class _Engine:
+    """The one attribute a request scope records into."""
+
+    def __init__(self):
+        self.timing_log = TimingLog()
+
+
+class TestRequestScope:
+    def test_every_site_feeds_a_known_stage(self):
+        for name, (stage, __) in SITES.items():
+            assert stage is None or stage in STAGES, name
+
+    def test_sites_charge_the_open_request_once(self):
+        engine = _Engine()
+        with timing_mod.request(engine):
+            with timing_mod.site("parse"), timing_mod.site("write_deps"):
+                time.sleep(0.001)
+            timing = timing_mod.current()
+        assert timing_mod.current() is None
+        assert engine.timing_log.count == 1
+        assert timing.translation > 0.0
+        assert timing.dependency_extract == 0.0  # write_deps: no stage
+        with timing_mod.site("parse"):  # outside a scope: charges nothing
+            pass
+        assert engine.timing_log.count == 1
+
+    def test_nested_scope_is_its_own_request(self):
+        engine = _Engine()
+        with timing_mod.request(engine):
+            outer = timing_mod.current()
+            with timing_mod.request(engine):
+                assert timing_mod.current() is not outer
+            assert timing_mod.current() is outer
+        assert engine.timing_log.count == 2
+
+    def test_failed_and_discarded_requests_are_not_recorded(self):
+        engine = _Engine()
+        with pytest.raises(RuntimeError):
+            with timing_mod.request(engine):
+                raise RuntimeError("backend down")
+        with timing_mod.request(engine) as scope:
+            scope.discard()
+        assert engine.timing_log.count == 0
+        assert timing_mod.current() is None
+
+    def test_charger_outlives_the_scope(self):
+        """A lazy stream charges the request that built it, after the
+        request was recorded; the late time reaches the log."""
+        engine = _Engine()
+        with timing_mod.request(engine):
+            charge = timing_mod.charger("convert")
+            timing = timing_mod.current()
+        charge(0.25)
+        assert timing.result_conversion == 0.25
+        assert engine.timing_log.result_conversion == 0.25
